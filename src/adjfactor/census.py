@@ -65,12 +65,13 @@ def enumerate_triangles(graph: Graph) -> list[Triangle]:
     Degree-ordered forward intersection: every edge is oriented from the
     lower-ranked endpoint, so each triangle is found at exactly one edge.
     """
-    n = graph.node_count
-    order = sorted(range(n), key=lambda v: (graph.degree(v), v))
+    sets = graph.neighbor_sets()
+    n = len(sets)
+    order = sorted(range(n), key=lambda v: (len(sets[v]), v))
     rank = [0] * n
     for position, v in enumerate(order):
         rank[v] = position
-    forward = [frozenset(u for u in graph.neighbors(v) if rank[u] > rank[v]) for v in range(n)]
+    forward = [frozenset(u for u in sets[v] if rank[u] > rank[v]) for v in range(n)]
 
     triangles: list[Triangle] = []
     for v in range(n):
@@ -91,6 +92,16 @@ def s_adjacency_factor(graph: Graph, u: int, v: int) -> int:
     return len(sets[u] & sets[v])
 
 
+def _t_factor(sets: Sequence[frozenset[int]], a: int, b: int, c: int) -> int:
+    """T factor of triangle (a, b, c) from the graph's neighbor sets."""
+    sa, sb, sc = sets[a], sets[b], sets[c]
+    common_ab = sa & sb
+    # each pair's common neighbors include the third vertex; triple-adjacent
+    # nodes appear in all three pair sets and must not count at all
+    triple = len(common_ab & sc)
+    return len(common_ab) + len(sb & sc) + len(sc & sa) - 3 - 3 * triple
+
+
 def t_adjacency_factor(graph: Graph, triangle: Sequence[int]) -> int:
     """Number of outside nodes adjacent to exactly two of the triangle's vertices."""
     a, b, c = triangle
@@ -98,14 +109,7 @@ def t_adjacency_factor(graph: Graph, triangle: Sequence[int]) -> int:
         graph.has_edge(a, b) and graph.has_edge(b, c) and graph.has_edge(a, c)
     ):
         raise ValueError(f"({a}, {b}, {c}) is not a triangle")
-    sets = graph.neighbor_sets()
-    common_ab = sets[a] & sets[b]
-    common_bc = sets[b] & sets[c]
-    common_ca = sets[c] & sets[a]
-    # each pair set contains the third vertex; triple-adjacent nodes appear in
-    # all three pair sets and must not count at all
-    triple = len(common_ab & sets[c])
-    return (len(common_ab) - 1 - triple) + (len(common_bc) - 1 - triple) + (len(common_ca) - 1 - triple)
+    return _t_factor(graph.neighbor_sets(), a, b, c)
 
 
 def census(graph: Graph, kind: str) -> AdjacencyCensus:
@@ -121,21 +125,8 @@ def census(graph: Graph, kind: str) -> AdjacencyCensus:
         return AdjacencyCensus(kind="s", units=units, factors=np.asarray(factors, dtype=np.int64))
 
     triangles = enumerate_triangles(graph)
-    edge_factor: dict[tuple[int, int], int] = {}
-    for a, b, c in triangles:
-        for e in ((a, b), (b, c), (a, c)):
-            if e not in edge_factor:
-                edge_factor[e] = len(sets[e[0]] & sets[e[1]])
-    factors = []
-    for a, b, c in triangles:
-        triple = len(sets[a] & sets[b] & sets[c])
-        total = edge_factor[(a, b)] + edge_factor[(b, c)] + edge_factor[(a, c)]
-        factors.append(total - 3 - 3 * triple)
-    return AdjacencyCensus(
-        kind="t",
-        units=[tuple(t) for t in triangles],
-        factors=np.asarray(factors, dtype=np.int64),
-    )
+    factors = [_t_factor(sets, a, b, c) for a, b, c in triangles]
+    return AdjacencyCensus(kind="t", units=triangles, factors=np.asarray(factors, dtype=np.int64))
 
 
 def to_distribution(c: AdjacencyCensus) -> DistributionSeries:
@@ -174,9 +165,13 @@ def read_distribution_csv(source: str | Path | IO[str]) -> DistributionSeries:
     for row in reader:
         if not row:
             continue
-        support.append(int(row[0]))
-        counts.append(int(row[1]))
-        freq.append(float(row[2]))
+        try:
+            x, count, f = int(row[0]), int(row[1]), float(row[2])
+        except (IndexError, ValueError):
+            raise ValueError(f"line {reader.line_num}: expected factor,count,freq, got {row}") from None
+        support.append(x)
+        counts.append(count)
+        freq.append(f)
     if not support:
         raise ValueError("empty distribution")
     if any(b <= a for a, b in zip(support, support[1:])):

@@ -33,31 +33,31 @@ class IngestReport:
 class Graph:
     """Immutable undirected simple graph with dense node ids 0..n-1.
 
-    Neighbor lists are strictly ascending, adjacency is symmetric, and there
-    are no self-loops or parallel edges. Instances are safe for concurrent
-    reads; all mutation happens before construction.
+    Adjacency is held once, as one frozenset of neighbors per node, and
+    `neighbor_sets()` returns it. The constructor takes one collection of
+    neighbor ids per node (a repeated id counts once) and rejects ids out of
+    range, self-loops and asymmetric adjacency in O(E). `neighbors(v)` and
+    `edges()` give ascending order. Instances are safe for concurrent reads;
+    all mutation happens before construction.
     """
 
-    __slots__ = ("_adjacency", "_edge_count", "_neighbor_sets")
+    __slots__ = ("_adjacency", "_edge_count")
 
-    def __init__(self, adjacency: Sequence[Sequence[int]]):
-        adj = tuple(tuple(neighbors) for neighbors in adjacency)
+    def __init__(self, adjacency: Sequence[Iterable[int]]):
+        adj = tuple(frozenset(neighbors) for neighbors in adjacency)
         n = len(adj)
         degree_sum = 0
         for v, neighbors in enumerate(adj):
-            prev = -1
+            if v in neighbors:
+                raise ValueError(f"self-loop at node {v}")
             for u in neighbors:
-                if u <= prev:
-                    raise ValueError(f"neighbor list of {v} not strictly ascending")
-                if u == v:
-                    raise ValueError(f"self-loop at node {v}")
                 if not 0 <= u < n:
                     raise ValueError(f"neighbor {u} of node {v} out of range")
-                prev = u
+                if v not in adj[u]:
+                    raise ValueError(f"node {u} is a neighbor of {v} but not vice versa")
             degree_sum += len(neighbors)
         self._adjacency = adj
         self._edge_count = degree_sum // 2
-        self._neighbor_sets: tuple[frozenset[int], ...] | None = None
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]], node_count: int | None = None) -> "Graph":
@@ -81,13 +81,7 @@ class Graph:
         n = max_id + 1 if node_count is None else node_count
         if n < max_id + 1:
             raise ValueError(f"node_count={n} too small for edge endpoint {max_id}")
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        for u, v in seen:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        for neighbors in adjacency:
-            neighbors.sort()
-        return cls(adjacency)
+        return cls(_neighbor_lists(seen, n))
 
     @property
     def node_count(self) -> int:
@@ -104,24 +98,21 @@ class Graph:
         return tuple(len(neighbors) for neighbors in self._adjacency)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adjacency[v]
+        """Neighbors of v in ascending order."""
+        return tuple(sorted(self._adjacency[v]))
 
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        """Per-node neighbor sets, built once and cached."""
-        if self._neighbor_sets is None:
-            self._neighbor_sets = tuple(frozenset(nb) for nb in self._adjacency)
-        return self._neighbor_sets
+        """Per-node neighbor sets: the graph's own adjacency."""
+        return self._adjacency
 
     def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.node_count and 0 <= v < self.node_count):
-            return False
-        a, b = (u, v) if self.degree(u) <= self.degree(v) else (v, u)
-        return b in self.neighbor_sets()[a]
+        n = self.node_count
+        return 0 <= u < n and 0 <= v < n and v in self._adjacency[u]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in ascending order."""
         for u, neighbors in enumerate(self._adjacency):
-            for v in neighbors:
+            for v in sorted(neighbors):
                 if v > u:
                     yield (u, v)
 
@@ -135,6 +126,15 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(nodes={self.node_count}, edges={self.edge_count})"
+
+
+def _neighbor_lists(pairs: Iterable[tuple[int, int]], node_count: int) -> list[list[int]]:
+    """Per-node neighbor lists of nodes 0..node_count-1 from distinct undirected pairs."""
+    adjacency: list[list[int]] = [[] for _ in range(node_count)]
+    for u, v in pairs:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return adjacency
 
 
 DEFAULT_COMMENT_PREFIXES = ("#", "%")
@@ -196,15 +196,7 @@ def parse_edge_list(
             pair_set.add(key)
 
     remap = {label: i for i, label in enumerate(sorted(labels))}
-    adjacency: list[list[int]] = [[] for _ in range(len(remap))]
-    for u, v in pair_set:
-        a, b = remap[u], remap[v]
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    for neighbors in adjacency:
-        neighbors.sort()
-
-    graph = Graph(adjacency)
+    graph = Graph(_neighbor_lists(((remap[u], remap[v]) for u, v in pair_set), len(remap)))
     report = IngestReport(
         lines_read=lines_read,
         self_loops_dropped=self_loops,
@@ -238,12 +230,12 @@ def local_clustering_coefficient(graph: Graph, v: int) -> float:
     """
     if not 0 <= v < graph.node_count:
         raise ValueError(f"node {v} not in graph")
-    k = graph.degree(v)
-    if k < 2:
-        return 0.0
     sets = graph.neighbor_sets()
     own = sets[v]
-    links = sum(len(own & sets[u]) for u in graph.neighbors(v)) // 2
+    k = len(own)
+    if k < 2:
+        return 0.0
+    links = sum(len(own & sets[u]) for u in own) // 2
     return links / (k * (k - 1) / 2)
 
 
@@ -251,13 +243,7 @@ def average_clustering_coefficient(graph: Graph) -> float:
     """Arithmetic mean of the local clustering coefficient over all nodes."""
     if graph.node_count == 0:
         raise ValueError("empty graph")
-    sets = graph.neighbor_sets()
     total = 0.0
     for v in range(graph.node_count):
-        k = graph.degree(v)
-        if k < 2:
-            continue
-        own = sets[v]
-        links = sum(len(own & sets[u]) for u in graph.neighbors(v)) // 2
-        total += links / (k * (k - 1) / 2)
+        total += local_clustering_coefficient(graph, v)
     return total / graph.node_count

@@ -156,7 +156,7 @@ def generate_pa_tf(config: GrowthConfig) -> Graph:
             added += 1
             next_is_tf = rng.random() < p_t
 
-    return Graph([sorted(neighbors) for neighbors in adjacency])
+    return Graph(adjacency)
 
 
 def derive_growth_config(nodes: int, edges: int, seed: int = 0) -> GrowthConfig:

@@ -22,7 +22,7 @@ from .census import DistributionSeries
 
 S_COMPLEX = "s_complex"
 EMG = "emg"
-MODEL_NAMES = (S_COMPLEX, EMG)
+PARAM_NAMES = {S_COMPLEX: ("a", "b", "c"), EMG: ("lam", "mu", "sigma")}
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -179,7 +179,7 @@ def fit(
     0); the EMG uses the whole support. Multi-start keeps the result
     deterministic: ties break toward the earlier start.
     """
-    if model not in MODEL_NAMES:
+    if model not in PARAM_NAMES:
         raise ValueError(f"unknown model {model!r}")
     min_support = 1.0 if model == S_COMPLEX else 0.0
     x, observed = series.restrict(min_support)
@@ -190,7 +190,6 @@ def fit(
 
     if model == S_COMPLEX:
         bounds = [(0.0, 3.0), (1e-8, 2.0), (1e-8, 1.0)]
-        names = ("a", "b", "c")
 
         def objective(p: np.ndarray) -> float:
             return float(np.sum((s_complex_model(x, p[0], p[1], p[2], log_base=log_base) - observed) ** 2))
@@ -200,7 +199,6 @@ def fit(
         restarts = n_starts
     else:
         x_max = float(x.max())
-        names = ("lam", "mu", "sigma")
 
         def objective(p: np.ndarray) -> float:
             return float(np.sum((emg_model(x, p[0], p[1], p[2]) - observed) ** 2))
@@ -220,7 +218,7 @@ def fit(
             values = [float(v) for v in best.x]
         restarts = 2 * n_starts
 
-    params = dict(zip(names, values))
+    params = dict(zip(PARAM_NAMES[model], values))
     predicted = model_function(model, values, log_base=log_base)(x)
     return FitResult(
         model=model,

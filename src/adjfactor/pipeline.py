@@ -27,7 +27,16 @@ from .growth import (
     derive_seed,
     generate_pa_tf,
 )
-from .models import EMG, S_COMPLEX, FitError, FitResult, fit, model_function, reference_constant
+from .models import (
+    EMG,
+    PARAM_NAMES,
+    S_COMPLEX,
+    FitError,
+    FitResult,
+    fit,
+    model_function,
+    reference_constant,
+)
 from .stats import one_sample_t_test
 
 MODEL_BY_KIND = {"s": S_COMPLEX, "t": EMG}
@@ -262,7 +271,7 @@ def _write_tables(report: dict, out_dir: Path) -> None:
             writer.writerow([entry["name"], s["nodes"], s["edges"], f"{s['avg_cc']:.4f}"])
 
     header = ["network"]
-    for model, names in ((S_COMPLEX, ("a", "b", "c")), (EMG, ("lam", "mu", "sigma"))):
+    for model, names in PARAM_NAMES.items():
         header += [f"{model}_{n} (real / grown)" for n in names]
         header += [f"{model}_mnd (real / grown / ref)"]
     with open(out_dir / "table2.csv", "w", encoding="utf-8", newline="") as handle:
@@ -272,7 +281,7 @@ def _write_tables(report: dict, out_dir: Path) -> None:
             if entry["status"] != "ok":
                 continue
             row = [entry["name"]]
-            for model, names in ((S_COMPLEX, ("a", "b", "c")), (EMG, ("lam", "mu", "sigma"))):
+            for model, names in PARAM_NAMES.items():
                 section = entry["models"][model]
                 for n in names:
                     row.append(_slash(section["real"]["params"][n], section["grown_mean_params"][n]))
@@ -296,8 +305,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
 
     names: list[str] = []
     for index, dataset in enumerate(config.datasets):
-        stem = Path(dataset).stem or f"network_{index}"
-        names.append(stem if stem not in names else f"{stem}_{index}")
+        name = Path(dataset).stem or f"network_{index}"
+        while name in names:
+            name = f"{name}_{index}"
+        names.append(name)
 
     executor = ProcessPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
     failure_kinds: list[str] = []

@@ -147,6 +147,12 @@ class TestFit:
         path.write_text("factor,count,freq\n1,1,0.5\n2,1,0.5\n")
         assert main(["fit", str(path), "--model", "s"]) == 3
 
+    def test_short_row_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("factor,count,freq\n1,2\n")
+        assert main(["fit", str(path), "--model", "s"]) == 2
+        assert "error: line 2" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_unknown_command(self):

@@ -5,9 +5,11 @@ import pytest
 
 from adjfactor import (
     Graph,
+    GrowthConfig,
     ParseError,
     average_clustering_coefficient,
     census,
+    generate_pa_tf,
     local_clustering_coefficient,
     parse_edge_list,
     write_edge_list,
@@ -78,13 +80,15 @@ class TestParse:
         assert list(census(g1, "s").factors) == list(census(g2, "s").factors)
 
     def test_round_trip(self):
-        g = er_graph(25, 0.25, seed=9)
-        buffer = io.StringIO()
-        write_edge_list(g, buffer)
-        g2, report = parse_edge_list(buffer.getvalue())
-        assert report.duplicates_dropped == 0 and report.self_loops_dropped == 0
-        assert (g2.node_count, g2.edge_count) == (g.node_count, g.edge_count)
-        assert g2.degrees() == g.degrees()
+        grown = generate_pa_tf(GrowthConfig(n=200, n0=3, m=3, p_t=0.5, seed=4))
+        for g in (er_graph(25, 0.25, seed=9), grown):
+            buffer = io.StringIO()
+            write_edge_list(g, buffer)
+            g2, report = parse_edge_list(buffer.getvalue())
+            assert report.duplicates_dropped == 0 and report.self_loops_dropped == 0
+            assert (g2.node_count, g2.edge_count) == (g.node_count, g.edge_count)
+            assert g2.degrees() == g.degrees()
+            assert g2 == g
 
 
 class TestGraphType:
@@ -95,6 +99,15 @@ class TestGraphType:
     def test_from_edges_rejects_duplicate(self):
         with pytest.raises(ValueError):
             Graph.from_edges([(0, 1), (1, 0)])
+
+    @pytest.mark.parametrize(
+        "adjacency",
+        [[[1], []], [[1], [0, 2]], [[-1]], [[0]]],
+        ids=["asymmetric", "out_of_range", "negative", "self_loop"],
+    )
+    def test_constructor_rejects_invalid_adjacency(self, adjacency):
+        with pytest.raises(ValueError):
+            Graph(adjacency)
 
     def test_neighbors_sorted_and_symmetric(self):
         g = er_graph(20, 0.4, seed=2)

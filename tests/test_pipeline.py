@@ -130,6 +130,19 @@ class TestFailureHandling:
         assert entry["status"] == "failed"
         assert entry["failed_stage"] == "census_and_fit_real"
 
+    def test_colliding_names_made_unique(self, tmp_path):
+        datasets = [tmp_path / "a_2.txt", tmp_path / "x" / "a.txt", tmp_path / "y" / "a.txt"]
+        for path in datasets:
+            path.parent.mkdir(exist_ok=True)
+            path.write_text("not an edge\n")
+        out_dir = tmp_path / "names"
+        config = ExperimentConfig(datasets=[str(p) for p in datasets], out_dir=out_dir)
+        report, code = run_experiment(config)
+        assert code == 2
+        names = [entry["name"] for entry in report["networks"]]
+        assert names == ["a_2", "a", "a_2_2"]
+        assert sorted(p.name for p in out_dir.iterdir() if p.is_dir()) == sorted(names)
+
     def test_invalid_config_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             ExperimentConfig(datasets=["x"], out_dir=tmp_path, replicas=0)
