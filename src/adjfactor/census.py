@@ -169,6 +169,8 @@ def read_distribution_csv(source: str | Path | IO[str]) -> DistributionSeries:
             x, count, f = int(row[0]), int(row[1]), float(row[2])
         except (IndexError, ValueError):
             raise ValueError(f"line {reader.line_num}: expected factor,count,freq, got {row}") from None
+        if not 0.0 <= f < float("inf"):  # also rejects NaN
+            raise ValueError(f"line {reader.line_num}: freq must be finite and nonnegative, got {row[2]}")
         support.append(x)
         counts.append(count)
         freq.append(f)

@@ -1,22 +1,22 @@
 """Scale-free network growth with preferential attachment and triad formation.
 
-Each incoming node receives exactly m edges. Preferential attachment picks a
-target with probability proportional to current degree (redrawing ineligible
-targets); after every added edge a coin with probability p_t decides whether
-the next edge, budget permitting, is a triad-formation edge to a random
-not-yet-adjacent neighbor of the most recent PA target. When that neighbor
-pool is empty the step falls back to preferential attachment, so the edge
-budget is always met.
+Each incoming node receives exactly m edges (Holme & Kim, PRE 65, 026107,
+2002). The first is preferential attachment (PA): a uniform entry of the list
+of all edge endpoints, a degree-proportional draw; ineligible targets are
+redrawn. Before each further edge a coin with probability p_t makes it a
+triad-formation edge to a uniform non-adjacent neighbor of the last PA target,
+or PA when there is none. Triangles are counted while the network grows.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, average_clustering_coefficient
+from .graph import Graph
 
 
 class CalibrationError(RuntimeError):
@@ -69,8 +69,8 @@ class GrowthConfig:
             "p_t": self.p_t,
             "seed": self.seed,
             "seed_topology": "ring",
-            "pa_rule": "degree-proportional, ineligible targets redrawn",
-            "tf_rule": "coin flipped after every added edge; partner is a random "
+            "pa_rule": "degree-proportional (edge-endpoint list), ineligible targets redrawn",
+            "tf_rule": "coin flipped before every edge after the first; partner is a uniform "
             "non-adjacent neighbor of the last PA target; falls back to PA",
         }
 
@@ -81,82 +81,66 @@ class CalibrationResult:
     achieved_cc: float
     iterations: int
     pilot_networks: int
+    probes: list[list[float]]
 
 
-class _Fenwick:
-    """Prefix-sum tree over per-node integer weights; O(log n) draw and update."""
+_TF_TRIES = 3  # uniform draws from the hub's neighbors before the exact scan
 
-    __slots__ = ("size", "tree", "total")
 
-    def __init__(self, size: int):
-        self.size = size
-        self.tree = [0] * (size + 1)
-        self.total = 0
+def _uniforms(rng: np.random.Generator) -> Iterator[float]:
+    """Uniform floats in [0, 1), taken from the generator in blocks."""
+    while True:
+        yield from rng.random(4096).tolist()
 
-    def add(self, index: int, weight: int) -> None:
-        self.total += weight
-        i = index + 1
-        while i <= self.size:
-            self.tree[i] += weight
-            i += i & (-i)
 
-    def find(self, value: float) -> int:
-        """Smallest index whose prefix sum exceeds value (value in [0, total))."""
-        index = 0
-        bit = 1 << self.size.bit_length()
-        while bit:
-            probe = index + bit
-            if probe <= self.size and self.tree[probe] <= value:
-                index = probe
-                value -= self.tree[probe]
-            bit >>= 1
-        return index
+def _grow(config: GrowthConfig) -> tuple[list[list[int]], list[int]]:
+    """Grow a network; return neighbor lists in insertion order and per-node triangle counts."""
+    n, n0, m, p_t = config.n, config.n0, config.m, config.p_t
+    draw = _uniforms(np.random.default_rng(config.seed)).__next__
+    neighbor_lists: list[list[int]] = [[] for _ in range(n)]
+    neighbor_sets: list[set[int]] = [set() for _ in range(n)]
+    triangles = [0] * n
+    endpoints: list[int] = []  # both ends of every edge: a uniform entry is degree-proportional
+
+    def add_edge(u: int, w: int) -> None:
+        common = neighbor_sets[u] & neighbor_sets[w]
+        for x in common:
+            triangles[x] += 1
+        triangles[u] += len(common)
+        triangles[w] += len(common)
+        neighbor_sets[u].add(w)
+        neighbor_sets[w].add(u)
+        neighbor_lists[u].append(w)
+        neighbor_lists[w].append(u)
+        endpoints.extend((u, w))
+
+    for i in range(config.seed_edge_count()):
+        add_edge(i, (i + 1) % n0)
+
+    for v in range(n0, n):
+        own = neighbor_sets[v]
+        for k in range(m):
+            tf = k > 0 and draw() < p_t
+            pool = neighbor_lists[target] if tf else endpoints
+            for misses in itertools.count(1):
+                w = pool[int(draw() * len(pool))]
+                if w != v and w not in own:
+                    break
+                if tf and misses == _TF_TRIES:  # exact scan; PA if no neighbor is eligible
+                    pool = [c for c in pool if c != v and c not in own]
+                    if not pool:
+                        tf, pool = False, endpoints
+            if not tf:
+                target = w
+            add_edge(v, w)
+
+    return neighbor_lists, triangles
 
 
 def generate_pa_tf(config: GrowthConfig) -> Graph:
     """Grow a network under the config. Deterministic given the seed."""
-    rng = np.random.default_rng(config.seed)
-    n, n0, m, p_t = config.n, config.n0, config.m, config.p_t
-
-    adjacency: list[set[int]] = [set() for _ in range(n)]
-    weights = _Fenwick(n)
-
-    def add_edge(u: int, v: int) -> None:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-        weights.add(u, 1)
-        weights.add(v, 1)
-
-    if n0 >= 3:
-        for i in range(n0):
-            add_edge(i, (i + 1) % n0)
-    elif n0 == 2:
-        add_edge(0, 1)
-
-    for v in range(n0, n):
-        added = 0
-        last_pa_target: int | None = None
-        next_is_tf = False
-        while added < m:
-            placed = False
-            if next_is_tf and last_pa_target is not None:
-                candidates = sorted(
-                    u for u in adjacency[last_pa_target] if u != v and u not in adjacency[v]
-                )
-                if candidates:
-                    add_edge(v, candidates[rng.integers(len(candidates))])
-                    placed = True
-            if not placed:
-                while True:
-                    w = weights.find(rng.random() * weights.total)
-                    if w != v and w not in adjacency[v]:
-                        break
-                add_edge(v, w)
-                last_pa_target = w
-            added += 1
-            next_is_tf = rng.random() < p_t
-
-    return Graph(adjacency)
+    neighbor_lists, _ = _grow(config)
+    return Graph(neighbor_lists)
 
 
 def derive_growth_config(nodes: int, edges: int, seed: int = 0) -> GrowthConfig:
@@ -179,12 +163,15 @@ def derive_seed(master_seed: int, *key: int) -> int:
 
 
 def _pilot_mean_cc(n: int, n0: int, m: int, p_t: float, pilot_seeds: Sequence[int]) -> float:
-    values = [
-        average_clustering_coefficient(
-            generate_pa_tf(GrowthConfig(n=n, n0=n0, m=m, p_t=p_t, seed=s))
-        )
-        for s in pilot_seeds
-    ]
+    """Pilot-mean average CC from growth-time triangle counts (same sum as the graph module)."""
+    values = []
+    for s in pilot_seeds:
+        neighbor_lists, triangles = _grow(GrowthConfig(n=n, n0=n0, m=m, p_t=p_t, seed=s))
+        total = 0.0
+        for t, k in zip(triangles, map(len, neighbor_lists)):
+            if k >= 2:
+                total += t / (k * (k - 1) / 2)
+        values.append(total / n)
     return float(np.mean(values))
 
 
@@ -198,11 +185,12 @@ def calibrate_pt(
     max_iterations: int = 20,
     n0: int | None = None,
 ) -> CalibrationResult:
-    """Bisect p_t until the pilot-mean clustering coefficient hits the target.
+    """Find p_t whose pilot-mean clustering coefficient is within tolerance of the target.
 
-    The same pilot seed set is reused at every probe (common random numbers),
-    which keeps the probed p_t -> CC curve monotone-stable and the whole
-    calibration deterministic.
+    Probes p_t = 0 and 1, then runs Illinois regula falsi on that bracket. Every
+    probe reuses the same pilot seeds (common random numbers), which keeps the
+    p_t -> CC curve monotone-stable and calibration deterministic. The result
+    lists each probe's [p_t, pilot-mean CC] in probe order.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
@@ -210,39 +198,49 @@ def calibrate_pt(
         raise ValueError("pilots must be >= 1")
     n0 = max(m, 3) if n0 is None else n0
     pilot_seeds = [derive_seed(seed, i) for i in range(pilots)]
+    probes: list[list[float]] = []
 
-    cc_low = _pilot_mean_cc(n, n0, m, 0.0, pilot_seeds)
+    def probe(p_t: float) -> float:
+        probes.append([p_t, _pilot_mean_cc(n, n0, m, p_t, pilot_seeds)])
+        return probes[-1][1]
+
+    def found(iterations: int) -> CalibrationResult:  # the last probe hit the target
+        return CalibrationResult(*probes[-1], iterations, pilots * len(probes), probes)
+
+    cc_low = probe(0.0)
     if abs(cc_low - target_cc) <= tolerance:
-        return CalibrationResult(p_t=0.0, achieved_cc=cc_low, iterations=0, pilot_networks=pilots)
+        return found(0)
     if target_cc < cc_low:
         raise CalibrationError(
             f"target CC {target_cc} below minimum achievable {cc_low:.4f} at p_t=0",
             achievable_cc=cc_low,
         )
-    cc_high = _pilot_mean_cc(n, n0, m, 1.0, pilot_seeds)
+    cc_high = probe(1.0)
     if abs(cc_high - target_cc) <= tolerance:
-        return CalibrationResult(p_t=1.0, achieved_cc=cc_high, iterations=0, pilot_networks=pilots)
+        return found(0)
     if target_cc > cc_high:
         raise CalibrationError(
             f"target CC {target_cc} above maximum achievable {cc_high:.4f} at p_t=1",
             achievable_cc=cc_high,
         )
 
-    low, high = 0.0, 1.0
+    # bracket[0] holds [p_t, CC - target] below the target, bracket[1] above it
+    bracket = [[0.0, cc_low - target_cc], [1.0, cc_high - target_cc]]
+    last_side = -1
     for iteration in range(1, max_iterations + 1):
-        mid = (low + high) / 2.0
-        cc_mid = _pilot_mean_cc(n, n0, m, mid, pilot_seeds)
-        if abs(cc_mid - target_cc) <= tolerance:
-            return CalibrationResult(
-                p_t=mid, achieved_cc=cc_mid, iterations=iteration, pilot_networks=pilots
-            )
-        if cc_mid < target_cc:
-            low = mid
-        else:
-            high = mid
+        (low, f_low), (high, f_high) = bracket
+        p_t = (low * f_high - high * f_low) / (f_high - f_low)
+        cc = probe(p_t)
+        if abs(cc - target_cc) <= tolerance:
+            return found(iteration)
+        side = int(cc > target_cc)
+        bracket[side] = [p_t, cc - target_cc]
+        if side == last_side:  # Illinois: halve the end kept twice in a row
+            bracket[1 - side][1] /= 2.0
+        last_side = side
     raise CalibrationError(
         f"no p_t within tolerance {tolerance} of target CC {target_cc} "
-        f"after {max_iterations} bisection iterations"
+        f"after {max_iterations} iterations"
     )
 
 

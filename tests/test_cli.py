@@ -153,6 +153,22 @@ class TestFit:
         assert main(["fit", str(path), "--model", "s"]) == 2
         assert "error: line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows,line",
+        [
+            ("1,1,-0.5\n2,1,-0.2\n3,1,inf\n4,1,0.1\n5,1,0.1\n", 2),
+            ("1,1,0.5\n2,1,nan\n3,1,0.5\n", 3),
+            ("1,1,0.5\n2,1,0.2\n3,1,inf\n", 4),
+        ],
+        ids=["negative", "nan", "inf"],
+    )
+    def test_bad_frequency_is_data_error(self, tmp_path, capsys, rows, line):
+        path = tmp_path / "neg.csv"
+        path.write_text("factor,count,freq\n" + rows)
+        assert main(["fit", str(path), "--model", "t"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: line {line}: freq must be finite and nonnegative" in err
+
 
 class TestUsage:
     def test_unknown_command(self):

@@ -10,6 +10,7 @@ from adjfactor import (
     derive_growth_config,
     derive_seed,
     generate_pa_tf,
+    growth,
 )
 
 
@@ -88,6 +89,41 @@ class TestGenerate:
         assert increased >= 9
 
 
+class TestGrowthInternals:
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    @pytest.mark.parametrize("p_t", [0.0, 0.5, 1.0])
+    def test_pilot_cc_equals_graph_cc(self, m, p_t):
+        config = GrowthConfig(n=600, n0=max(m, 3), m=m, p_t=p_t, seed=17)
+        pilot = growth._pilot_mean_cc(config.n, config.n0, config.m, config.p_t, [config.seed])
+        assert pilot == average_clustering_coefficient(generate_pa_tf(config))
+
+    def test_tf_partner_uniform_over_target_neighbors(self):
+        # ring 0-1-2-3; node 4 attaches to a uniform ring node t, then (p_t=1)
+        # to one of t's two ring neighbors, uniformly: 8 ordered outcomes
+        seeds = 4000
+        counts: dict[tuple[int, int], int] = {}
+        for seed in range(seeds):
+            neighbor_lists, _ = growth._grow(GrowthConfig(n=5, n0=4, m=2, p_t=1.0, seed=seed))
+            outcome = tuple(neighbor_lists[4])
+            counts[outcome] = counts.get(outcome, 0) + 1
+        expected = {(t, (t + d) % 4) for t in range(4) for d in (1, 3)}
+        assert set(counts) == expected
+        chi_square = sum((c - seeds / 8) ** 2 / (seeds / 8) for c in counts.values())
+        assert chi_square < 24.32  # chi-square 0.999 quantile, 7 degrees of freedom
+
+    def test_dense_growth_meets_budget_through_fallback(self):
+        # with n0=6 and m=5 most neighbors of a PA target are already adjacent
+        # to the incoming node, so TF draws miss and the exact scan runs
+        config = GrowthConfig(n=40, n0=6, m=5, p_t=1.0, seed=3)
+        neighbor_lists, triangles = growth._grow(config)
+        for v in range(config.n0, config.n):
+            own_edges = [u for u in neighbor_lists[v] if u < v]
+            assert len(own_edges) == config.m
+            assert len(set(neighbor_lists[v])) == len(neighbor_lists[v])
+            assert v not in neighbor_lists[v]
+        assert growth._grow(config) == (neighbor_lists, triangles)
+
+
 class TestDeriveConfig:
     def test_email_dnc_shape(self):
         config = derive_growth_config(1866, 4384)
@@ -138,6 +174,52 @@ class TestCalibrate:
         config, result = calibrated_config(600, 1200, 0.25, tolerance=0.03, pilots=3, seed=2)
         assert config.p_t == result.p_t
         assert config.m == 2
+
+    @staticmethod
+    def known_curve(n, n0, m, p_t, pilot_seeds):
+        return 0.05 + 0.4 * p_t**2
+
+    def test_regula_falsi_needs_fewer_probes_than_bisection(self, monkeypatch):
+        def curve(p_t):
+            return self.known_curve(0, 0, 0, p_t, [])
+
+        calls = []
+
+        def pilot_mean_cc(n, n0, m, p_t, pilot_seeds):
+            calls.append(p_t)
+            return curve(p_t)
+
+        monkeypatch.setattr(growth, "_pilot_mean_cc", pilot_mean_cc)
+        target, tolerance = 0.25, 0.005
+        result = calibrate_pt(1000, 2, target, tolerance=tolerance, pilots=3, seed=0)
+        assert abs(result.achieved_cc - target) <= tolerance
+        assert result.probes == [[p, curve(p)] for p in calls]
+        assert calls[:2] == [0.0, 1.0]
+        assert result.probes[-1] == [result.p_t, result.achieved_cc]
+        assert result.iterations == len(calls) - 2
+        assert result.pilot_networks == 3 * len(calls)
+
+        low, high, bisection_iterations = 0.0, 1.0, 0
+        while True:
+            bisection_iterations += 1
+            mid = (low + high) / 2.0
+            if abs(curve(mid) - target) <= tolerance:
+                break
+            low, high = (mid, high) if curve(mid) < target else (low, mid)
+        assert result.iterations < bisection_iterations
+
+    @pytest.mark.parametrize("target,achievable", [(0.01, 0.05), (0.6, 0.45)])
+    def test_out_of_range_target_on_known_curve(self, monkeypatch, target, achievable):
+        monkeypatch.setattr(growth, "_pilot_mean_cc", self.known_curve)
+        with pytest.raises(CalibrationError) as info:
+            calibrate_pt(1000, 2, target, tolerance=0.005, pilots=3, seed=0)
+        assert info.value.achievable_cc == pytest.approx(achievable)
+
+    def test_iteration_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(growth, "_pilot_mean_cc", self.known_curve)
+        with pytest.raises(CalibrationError) as info:
+            calibrate_pt(1000, 2, 0.25, tolerance=1e-9, pilots=3, seed=0, max_iterations=2)
+        assert info.value.achievable_cc is None
 
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
