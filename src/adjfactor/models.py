@@ -3,8 +3,11 @@
 Two parametric families are fitted to adjacency-factor frequency series: a
 log-quadratic decay c*(b*x^-a)^log(x) for edge-level distributions, and the
 exponentially modified Gaussian for triangle-level ones. Fitting is
-derivative-free simplex descent from a deterministic quasi-random grid of
-starts, so identical input always yields an identical result.
+derivative-free: an in-house bounded Nelder-Mead simplex runs from every start
+of a deterministic quasi-random grid at once, the starts advancing in lockstep
+so that each round scores all their trial points with one batched model call.
+Identical input always yields an identical result. scipy is used only for
+special functions.
 """
 
 from __future__ import annotations
@@ -12,11 +15,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
 from scipy import special
-from scipy.optimize import minimize
 
 from .census import DistributionSeries
 
@@ -36,53 +38,60 @@ def erfc(x: float) -> float:
     return math.erfc(x)
 
 
-def s_complex_model(x, a: float, b: float, c: float, log_base: float = 10.0):
+def s_complex_model(x, a, b, c, log_base: float = 10.0):
     """Edge-level distribution model c * (b * x^-a)^log(x).
 
     The exponent log is taken in `log_base` (10 unless configured otherwise),
-    so the value at x=1 is exactly c. Defined for x > 0.
+    so the value at x=1 is exactly c. Defined for x > 0. The parameters may be
+    (k, 1) columns, giving one row of values per parameter set.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
+    if (arr <= 0.0).any():
         raise ValueError("model defined for x > 0 only")
     exponent = np.log(arr) / math.log(log_base)
     out = c * np.power(b * np.power(arr, -a), exponent)
-    return float(out) if arr.ndim == 0 else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def emg_model(x, lam: float, mu: float, sigma: float):
+def emg_model(x, lam, mu, sigma):
     """Exponentially modified Gaussian density.
 
     sigma=0 means the exponential limit lam*exp(-lam*(x-mu)) for x >= mu and
     0 below. For sigma > 0 the left tail is evaluated through the scaled
     complementary error function so the exponential factor cannot overflow.
+    The parameters may be (k, 1) columns, giving one row of values per
+    parameter set. A sigma so small that its square underflows yields NaN at
+    x == mu, without a warning.
     """
-    if lam <= 0.0:
+    lam = np.asarray(lam, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    if (lam <= 0.0).any():
         raise ValueError("lam must be positive")
-    if sigma < 0.0:
+    if (sigma < 0.0).any():
         raise ValueError("sigma must be nonnegative")
-    arr = np.asarray(x, dtype=float)
-    if sigma == 0.0:
-        shifted = arr - mu
-        out = np.where(shifted >= 0.0, lam * np.exp(-lam * np.maximum(shifted, 0.0)), 0.0)
-        return float(out) if arr.ndim == 0 else out
-    arg = np.atleast_1d((mu + lam * sigma * sigma - arr) / (_SQRT2 * sigma))
-    flat = np.atleast_1d(arr)
-    out = np.empty_like(arg)
-    left = arg >= 0.0
-    out[left] = (
-        0.5
-        * lam
-        * np.exp(-((flat[left] - mu) ** 2) / (2.0 * sigma * sigma))
-        * special.erfcx(arg[left])
-    )
-    out[~left] = (
-        0.5
-        * lam
-        * np.exp(lam * (mu - flat[~left]) + 0.5 * lam * lam * sigma * sigma)
-        * special.erfc(arg[~left])
-    )
-    return float(out[0]) if arr.ndim == 0 else out
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    exponential = sigma == 0.0
+    some_exponential = exponential.any()
+    # every branch is evaluated everywhere and np.where keeps the valid one,
+    # so the discarded ones may overflow or divide by zero
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if some_exponential:
+            shifted = arr - mu
+            limit = np.where(shifted >= 0.0, lam * np.exp(-lam * np.maximum(shifted, 0.0)), 0.0)
+        if some_exponential and exponential.all():
+            out = limit
+        else:
+            half_lam = 0.5 * lam
+            arg = (mu + lam * sigma * sigma - arr) / (_SQRT2 * sigma)
+            left = half_lam * np.exp(-((arr - mu) ** 2) / (2.0 * sigma * sigma)) * special.erfcx(arg)
+            right = (
+                half_lam * np.exp(lam * (mu - arr) + 0.5 * lam * lam * sigma * sigma) * special.erfc(arg)
+            )
+            out = np.where(arg >= 0.0, left, right)
+            if some_exponential:
+                out = np.where(exponential, limit, out)
+    return float(out[0]) if np.ndim(x) == 0 and out.shape == (1,) else out
 
 
 @dataclass
@@ -129,42 +138,199 @@ def _halton(count: int, dims: int) -> np.ndarray:
     return points
 
 
+class SimplexResult(NamedTuple):
+    x: list[float]
+    fun: float
+    nfev: int
+    success: bool
+
+
+class _Exhausted(Exception):
+    """A run asked for more than maxfev evaluations; args[0] holds the values it got."""
+
+
+def _clip(point, low, high) -> list[float]:
+    """np.clip of a finite point, signed zeros included."""
+    return [min(hi, max(lo, v)) for v, lo, hi in zip(point, low, high)]
+
+
+def _along(xbar, worst, a: float, b: float, low, high) -> list[float]:
+    """The clipped point a*xbar - b*worst on the line through the centroid and the worst vertex."""
+    return _clip([a * c - b * w for c, w in zip(xbar, worst)], low, high)
+
+
+def _order(sim: list, fsim: list[float]) -> tuple[list, list[float]]:
+    """Vertices sorted by value exactly as scipy orders them, with np.argsort.
+
+    Its sort is not stable on ties and places NaN last, so no other sort can
+    stand in for it.
+    """
+    order = np.argsort(np.array(fsim)).tolist()
+    return [sim[i] for i in order], [fsim[i] for i in order]
+
+
+def _nelder_mead(
+    x0: Sequence[float],
+    low: Sequence[float],
+    high: Sequence[float],
+    xatol: float,
+    fatol: float,
+    maxfev: int,
+) -> Generator[list[list[float]], list[float], SimplexResult]:
+    """Bounded Nelder-Mead simplex that yields trial points and is sent their values.
+
+    A step-for-step port of scipy 1.17's non-adaptive `_minimize_neldermead`
+    with finite bounds: the same initial simplex (reflected into the bounds),
+    the same clipped reflect/expand/contract/shrink points, the same
+    arithmetic and vertex order and the same stopping tests, so it returns
+    bit for bit the x, fun, nfev and success that scipy.optimize.minimize
+    returns for method="Nelder-Mead". Points that scipy evaluates one after
+    another without a decision in between (the initial simplex, a shrink) are
+    yielded together; a list is cut short where scipy would hit maxfev.
+    """
+    n = len(x0)
+    nfev = 0
+
+    def score(points):
+        nonlocal nfev
+        allowed = points[: maxfev - nfev]
+        values = (yield allowed) if allowed else []
+        nfev += len(values)
+        if len(values) < len(points):
+            raise _Exhausted(values)
+        return values
+
+    x0 = _clip(x0, low, high)
+    sim = [x0]
+    for k in range(n):
+        vertex = list(x0)
+        vertex[k] = (1 + 0.05) * vertex[k] if vertex[k] != 0 else 0.00025
+        sim.append(vertex)
+    # a vertex pushed past an upper bound is reflected inside, not flattened onto it
+    sim = [_clip([2 * hi - v if v > hi else v for v, hi in zip(row, high)], low, high) for row in sim]
+    try:
+        fsim = yield from score(sim)
+    except _Exhausted as stop:
+        fsim = stop.args[0] + [math.inf] * (n + 1 - len(stop.args[0]))
+    sim, fsim = _order(*_order(sim, fsim))
+
+    while nfev < maxfev:
+        try:
+            best, f_best = sim[0], fsim[0]
+            if all(abs(f_best - f) <= fatol for f in fsim[1:]) and all(
+                abs(v - b) <= xatol for row in sim[1:] for v, b in zip(row, best)
+            ):
+                break
+            xbar = [sum(column) / n for column in zip(*sim[:-1])]
+            worst = sim[-1]
+            # reflect, expand and contract with scipy's rho=1, chi=2, psi=0.5
+            xr = _along(xbar, worst, 2, 1, low, high)
+            (fxr,) = yield from score([xr])
+            if fxr < fsim[0]:
+                xe = _along(xbar, worst, 3, 2, low, high)
+                (fxe,) = yield from score([xe])
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = _along(xbar, worst, 1.5, 0.5, low, high)
+                    (fxc,) = yield from score([xc])
+                    shrink = not fxc <= fxr
+                    candidate = (xc, fxc)
+                else:
+                    xcc = _along(xbar, worst, 0.5, -0.5, low, high)
+                    (fxcc,) = yield from score([xcc])
+                    shrink = not fxcc < fsim[-1]
+                    candidate = (xcc, fxcc)
+                if not shrink:
+                    sim[-1], fsim[-1] = candidate
+                else:
+                    shrunk = [
+                        _clip([b + 0.5 * (v - b) for b, v in zip(best, row)], low, high) for row in sim[1:]
+                    ]
+                    try:
+                        fsim[1:] = yield from score(shrunk)
+                        sim[1:] = shrunk
+                    except _Exhausted as stop:
+                        # scipy moves a vertex before scoring it: the one it
+                        # could not score has moved but keeps its old value
+                        got = len(stop.args[0])
+                        sim[1 : got + 2] = shrunk[: got + 1]
+                        fsim[1 : got + 1] = stop.args[0]
+        except _Exhausted:
+            pass
+        sim, fsim = _order(sim, fsim)
+    return SimplexResult(sim[0], float(np.min(fsim)), nfev, nfev < maxfev)
+
+
+def _lockstep(
+    score: Callable[[np.ndarray], np.ndarray],
+    starts: Sequence[Sequence[float]],
+    bounds: Sequence[tuple[float, float]],
+    xatol: float,
+    fatol: float,
+    maxfev: int = 4000,
+) -> list[SimplexResult]:
+    """One bounded Nelder-Mead run per start, all advanced together.
+
+    Every round stacks the pending trial points of all live runs into one
+    (k, d) array and scores them with a single call of `score`, which returns
+    the k objective values.
+    """
+    low = [float(b[0]) for b in bounds]
+    high = [float(b[1]) for b in bounds]
+    runs = [_nelder_mead(x0, low, high, xatol, fatol, maxfev) for x0 in starts]
+    results: list[SimplexResult | None] = [None] * len(runs)
+    pending: dict[int, list[list[float]]] = {}
+
+    def advance(i: int, values: list[float] | None) -> None:
+        try:
+            pending[i] = runs[i].send(values)
+        except StopIteration as stop:
+            results[i] = stop.value
+            pending.pop(i, None)
+
+    for i in range(len(runs)):
+        advance(i, None)
+    while pending:
+        live = list(pending)
+        values = score(np.array([point for i in live for point in pending[i]])).tolist()
+        for i in live:
+            count = len(pending[i])
+            advance(i, values[:count])
+            del values[:count]
+    return results
+
+
 def _multistart_simplex(
-    objective: Callable[[np.ndarray], float],
+    score: Callable[[np.ndarray], np.ndarray],
     bounds: list[tuple[float, float]],
     n_starts: int,
-):
+) -> SimplexResult:
     """Best of n_starts Nelder-Mead runs from a Halton grid, then re-polished.
 
     Restart polishing also unsticks runs that stalled on a clipped bound.
     """
     low = np.array([b[0] for b in bounds])
     high = np.array([b[1] for b in bounds])
-    starts = [low + h * (high - low) for h in _halton(n_starts, len(bounds))]
+    starts = [(low + h * (high - low)).tolist() for h in _halton(n_starts, len(bounds))]
     best = None
-    for x0 in starts:
-        result = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"xatol": 1e-10, "fatol": 1e-14, "maxfev": 4000},
-        )
+    for result in _lockstep(score, starts, bounds, xatol=1e-10, fatol=1e-14):
         if best is None or result.fun < best.fun:
             best = result
     for _ in range(6):
-        result = minimize(
-            objective,
-            best.x,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"xatol": 1e-13, "fatol": 1e-16, "maxfev": 4000},
-        )
+        (result,) = _lockstep(score, [best.x], bounds, xatol=1e-13, fatol=1e-16)
         if result.fun < best.fun:
             best = result
         else:
             break
     return best
+
+
+def _sse(predicted: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """Sum of squared residuals of each row of model values."""
+    return ((predicted - observed) ** 2).sum(axis=1)
 
 
 def fit(
@@ -191,31 +357,31 @@ def fit(
     if model == S_COMPLEX:
         bounds = [(0.0, 3.0), (1e-8, 2.0), (1e-8, 1.0)]
 
-        def objective(p: np.ndarray) -> float:
-            return float(np.sum((s_complex_model(x, p[0], p[1], p[2], log_base=log_base) - observed) ** 2))
+        def score(p: np.ndarray) -> np.ndarray:
+            return _sse(s_complex_model(x, p[:, 0:1], p[:, 1:2], p[:, 2:3], log_base=log_base), observed)
 
-        best = _multistart_simplex(objective, bounds, n_starts)
-        values = [float(v) for v in best.x]
+        best = _multistart_simplex(score, bounds, n_starts)
+        values = list(best.x)
         restarts = n_starts
     else:
         x_max = float(x.max())
 
-        def objective(p: np.ndarray) -> float:
-            return float(np.sum((emg_model(x, p[0], p[1], p[2]) - observed) ** 2))
+        def score(p: np.ndarray) -> np.ndarray:
+            return _sse(emg_model(x, p[:, 0:1], p[:, 1:2], p[:, 2:3]), observed)
 
-        best = _multistart_simplex(objective, [(1e-6, 5.0), (0.0, x_max), (0.0, x_max)], n_starts)
+        best = _multistart_simplex(score, [(1e-6, 5.0), (0.0, x_max), (0.0, x_max)], n_starts)
         # degenerate sigma=0 family: the pointwise sigma->0 limit differs from
         # the sigma=0 convention at x=mu, so the boundary must be probed
         # explicitly or exponential-shaped series cannot be fitted exactly
-        def objective_exp(p: np.ndarray) -> float:
-            return float(np.sum((emg_model(x, p[0], p[1], 0.0) - observed) ** 2))
+        def score_exp(p: np.ndarray) -> np.ndarray:
+            return _sse(emg_model(x, p[:, 0:1], p[:, 1:2], 0.0), observed)
 
-        pinned = _multistart_simplex(objective_exp, [(1e-6, 5.0), (0.0, x_max)], n_starts)
+        pinned = _multistart_simplex(score_exp, [(1e-6, 5.0), (0.0, x_max)], n_starts)
         if pinned.fun < best.fun:
-            values = [float(pinned.x[0]), float(pinned.x[1]), 0.0]
+            values = [*pinned.x, 0.0]
             best = pinned
         else:
-            values = [float(v) for v in best.x]
+            values = list(best.x)
         restarts = 2 * n_starts
 
     params = dict(zip(PARAM_NAMES[model], values))

@@ -1,9 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
+from scipy.optimize import minimize
 
+import adjfactor
+from adjfactor import models
 from adjfactor import (
     FitError,
     emg_model,
@@ -229,3 +238,190 @@ class TestReferenceConstant:
     def test_empty_series(self):
         with pytest.raises(ValueError):
             reference_constant([], [])
+
+
+def _rosenbrock(p):
+    return float((1.0 - p[0]) ** 2 + 100.0 * (p[1] - p[0] ** 2) ** 2)
+
+
+def _bowl(p):
+    return float(np.sum((p - np.array([0.3, 1.7, 0.05])[: len(p)]) ** 2))
+
+
+def _flat_below_one(p):
+    # flat wherever p[0] <= 1, and the lower bound of p[0] keeps the search there
+    return float(max(p[0], 1.0) - 1.0 + 0.0 * p[1])
+
+
+def _constant(p):
+    # rejects every reflection and contraction, so each step shrinks
+    return 1.0
+
+
+def _two_level(p):
+    # the start's first two vertices tie at 1 and its last two at 0: the order
+    # np.argsort gives such ties is not the stable one
+    return 0.0 if max(p[1], p[2]) > 0.51 else 1.0
+
+
+def _staircase(p):
+    # plateaus: an expansion can tie the reflection it extends
+    return float(math.floor(3 * p[0]) + math.floor(3 * p[1]))
+
+
+def _nan_right_of_half(p):
+    return float("nan") if p[0] > 0.5 else float((p[0] - 0.2) ** 2 + (p[1] - 0.4) ** 2)
+
+
+def _nan_left_of_half(p):
+    return float("nan") if p[0] < 0.5 else float((p[0] - 0.7) ** 2 + (p[1] - 0.4) ** 2)
+
+
+def _kinked(p):
+    return float(abs(p[0] - 0.25) + abs(p[1] - 0.5))
+
+
+S_BOUNDS = [(0.0, 3.0), (1e-8, 2.0), (1e-8, 1.0)]
+
+# (name, objective, start, bounds, xatol, fatol, maxfev)
+ORACLE_CASES = [
+    ("rosenbrock-2d", _rosenbrock, [-1.2, 1.0], [(-2.0, 2.0), (-1.0, 3.0)], 1e-10, 1e-14, 4000),
+    ("bowl-3d", _bowl, [1.0, 0.5, 0.5], S_BOUNDS, 1e-10, 1e-14, 4000),
+    ("bowl-3d-polish", _bowl, [0.3, 1.7, 0.05], S_BOUNDS, 1e-13, 1e-16, 4000),
+    ("upper-bound-start", _bowl, [3.0, 2.0, 1.0], S_BOUNDS, 1e-10, 1e-14, 4000),
+    ("zero-start", _bowl, [0.0, 1e-8, 0.5], S_BOUNDS, 1e-10, 1e-14, 4000),
+    ("flat-at-bound", _flat_below_one, [0.5, 0.5], [(0.0, 3.0), (0.0, 1.0)], 1e-10, 1e-14, 4000),
+    ("tied-pairs", _two_level, [0.5, 0.5, 0.5], [(0.0, 1.0)] * 3, 1e-10, 1e-14, 4000),
+    ("tied-expansion", _staircase, [0.25, 0.667], [(0.0, 1.0), (0.0, 1.0)], 1e-10, 1e-14, 4000),
+    ("constant-shrinks", _constant, [0.5, 0.5, 0.5], [(0.0, 1.0)] * 3, 1e-10, 1e-14, 4000),
+    ("nan-region", _nan_right_of_half, [0.45, 0.9], [(0.0, 1.0), (0.0, 1.0)], 1e-10, 1e-14, 4000),
+    ("nan-start", _nan_right_of_half, [0.9, 0.9], [(0.0, 1.0), (0.0, 1.0)], 1e-10, 1e-14, 4000),
+    ("nan-first-vertex", _nan_left_of_half, [0.49, 0.5], [(0.0, 1.0), (0.0, 1.0)], 1e-10, 1e-14, 4000),
+    ("kinked", _kinked, [0.9, 0.1], [(0.0, 1.0), (0.0, 1.0)], 1e-10, 1e-14, 4000),
+] + [
+    (f"maxfev-{maxfev}{objective.__name__}", objective, start, bounds, 1e-10, 1e-14, maxfev)
+    for maxfev in (0, 1, 2, 3, 5, 7, 11, 30)
+    for objective, start, bounds in (
+        (_rosenbrock, [-1.2, 1.0], [(-2.0, 2.0), (-1.0, 3.0)]),
+        (_constant, [0.5, 0.5, 0.5], [(0.0, 1.0)] * 3),
+        (_two_level, [0.5, 0.5, 0.5], [(0.0, 1.0)] * 3),
+        (_nan_left_of_half, [0.49, 0.5], [(0.0, 1.0), (0.0, 1.0)]),
+    )
+]
+
+
+def _batched(objective):
+    return lambda points: np.array([objective(row) for row in points])
+
+
+def _assert_same_as_scipy(result, expected):
+    assert np.array(result.x).tobytes() == expected.x.tobytes()
+    assert np.float64(result.fun).tobytes() == np.float64(expected.fun).tobytes()
+    assert result.nfev == expected.nfev
+    assert result.success == expected.success
+
+
+class TestSimplexOracle:
+    """The in-house Nelder-Mead against scipy.optimize.minimize, bit for bit."""
+
+    @pytest.mark.parametrize("case", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+    def test_matches_scipy(self, case):
+        _, objective, start, bounds, xatol, fatol, maxfev = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = minimize(
+                objective, np.array(start), method="Nelder-Mead", bounds=bounds,
+                options={"xatol": xatol, "fatol": fatol, "maxfev": maxfev},
+            )
+        (result,) = models._lockstep(_batched(objective), [start], bounds, xatol, fatol, maxfev)
+        _assert_same_as_scipy(result, expected)
+
+    def test_lockstep_runs_match_separate_runs(self):
+        bounds = [(-2.0, 2.0), (-1.0, 3.0)]
+        starts = [[-1.2, 1.0], [2.0, 3.0], [0.0, 0.0], [1.5, -1.0]]
+        results = models._lockstep(_batched(_rosenbrock), starts, bounds, 1e-10, 1e-14, 4000)
+        for start, result in zip(starts, results):
+            expected = minimize(
+                _rosenbrock, np.array(start), method="Nelder-Mead", bounds=bounds,
+                options={"xatol": 1e-10, "fatol": 1e-14, "maxfev": 4000},
+            )
+            _assert_same_as_scipy(result, expected)
+
+
+class TestBatchedModels:
+    """Parameter columns give the rows of separate scalar-parameter calls."""
+
+    def test_emg_columns_equal_rows(self):
+        mu = 3.0
+        x = np.array([0.0, 1.0, 2.0, mu, 3.5, 4.0, 6.0, 9.0, 20.0, 60.0, 400.0])
+        rows = np.array([
+            [0.5, mu, 2.0],
+            [0.43, 0.0, 0.0],
+            [1.2, mu, 0.0],
+            [0.07, 10.86, 5.06],
+            [2.0, mu, 1e-170],  # sigma**2 underflows: NaN at x == mu
+            [0.3, mu, 5e-324],
+            [4.9, 1.0, 0.4],  # crossover mu + lam*sigma**2 between support points
+            [1e-6, 60.0, 60.0],
+        ])
+        batched = emg_model(x, rows[:, 0:1], rows[:, 1:2], rows[:, 2:3])
+        separate = np.stack([emg_model(x, *row) for row in rows])
+        assert batched.shape == (len(rows), len(x))
+        assert np.isnan(separate[4, 3])
+        lam, mu_6, sigma = rows[6]
+        arg = (mu_6 + lam * sigma * sigma - x) / (math.sqrt(2.0) * sigma)
+        assert (arg >= 0).any() and (arg < 0).any()
+        assert np.array_equal(batched, separate, equal_nan=True)
+        pinned = emg_model(x, rows[:, 0:1], rows[:, 1:2], 0.0)
+        assert np.array_equal(pinned, np.stack([emg_model(x, lam, m, 0.0) for lam, m, _ in rows]))
+
+    def test_emg_equals_masked_branch_reference(self):
+        # each branch evaluated only on its own points, with the same operations
+        x = np.array([0.0, 1.0, 2.0, 3.0, 3.5, 4.0, 6.0, 9.0, 20.0, 60.0, 400.0])
+        for lam, mu, sigma in [(0.5, 3.0, 2.0), (0.07, 10.86, 5.06), (4.9, 1.0, 0.4), (2.0, 3.0, 1e-170)]:
+            arg = (mu + lam * sigma * sigma - x) / (math.sqrt(2.0) * sigma)
+            left = arg >= 0.0
+            expected = np.empty_like(x)
+            with np.errstate(all="ignore"):
+                gauss = np.exp(-((x[left] - mu) ** 2) / (2.0 * sigma * sigma))
+                expected[left] = 0.5 * lam * gauss * special.erfcx(arg[left])
+                tail = np.exp(lam * (mu - x[~left]) + 0.5 * lam * lam * sigma * sigma)
+                expected[~left] = 0.5 * lam * tail * special.erfc(arg[~left])
+            assert np.array_equal(emg_model(x, lam, mu, sigma), expected, equal_nan=True)
+
+    def test_s_complex_columns_equal_rows(self):
+        x = np.array([1.0, 2.0, 3.0, 10.0, 57.0, 1000.0])
+        rows = np.array([[0.25, 0.75, 0.19], [0.0, 1e-8, 1e-8], [3.0, 2.0, 1.0], [0.65, 0.44, 0.55]])
+        batched = s_complex_model(x, rows[:, 0:1], rows[:, 1:2], rows[:, 2:3])
+        separate = np.stack([s_complex_model(x, *row) for row in rows])
+        assert np.array_equal(batched, separate, equal_nan=True)
+
+
+# a replica's triangle-level counts on which the 3-parameter EMG search drives
+# sigma so low that sigma**2 underflows
+UNDERFLOW_COUNTS = {0: 217, 1: 156, 2: 83, 3: 40, 4: 12, 5: 5, 6: 4, 7: 7, 8: 1, 9: 6, 10: 4, 11: 1, 15: 1, 16: 1}
+
+
+class TestQuietFits:
+    def test_sigma_underflow_emits_no_warning(self):
+        support = np.array(list(UNDERFLOW_COUNTS), dtype=float)
+        counts = np.array(list(UNDERFLOW_COUNTS.values()), dtype=np.int64)
+        series = DistributionSeries(support=support, counts=counts, freq=counts / counts.sum())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = fit("emg", series)
+        assert np.isfinite(result.param_vector()).all()
+        assert result.sse < 0.01
+
+    def test_underflowing_sigma_is_nan_at_mu_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values = emg_model(np.array([1.0, 2.0, 3.0]), 2.0, 2.0, 1e-170)
+        assert np.isnan(values[1])
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    code = "import sys, adjfactor, adjfactor.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(adjfactor.__file__).resolve().parent.parent))
+    output = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert output.stdout.strip() == "False"
