@@ -16,7 +16,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, clique_counts, triangle_pass
 
 Triangle = tuple[int, int, int]
 
@@ -25,10 +25,13 @@ KINDS = ("s", "t")
 
 @dataclass
 class AdjacencyCensus:
-    """One adjacency factor per unit: edges for kind "s", triangles for kind "t"."""
+    """One adjacency factor per unit: edges for kind "s", triangles for kind "t".
+
+    units is an int64 array of rows, shape (E, 2) or (T, 3).
+    """
 
     kind: str
-    units: list[tuple[int, ...]]
+    units: np.ndarray
     factors: np.ndarray
 
     def __len__(self) -> int:
@@ -60,46 +63,15 @@ def _normalize_kind(kind: str) -> str:
 
 
 def enumerate_triangles(graph: Graph) -> list[Triangle]:
-    """All triangles, each once, as node triples sorted ascending.
-
-    Degree-ordered forward intersection: every edge is oriented from the
-    lower-ranked endpoint, so each triangle is found at exactly one edge.
-    """
-    sets = graph.neighbor_sets()
-    n = len(sets)
-    order = sorted(range(n), key=lambda v: (len(sets[v]), v))
-    rank = [0] * n
-    for position, v in enumerate(order):
-        rank[v] = position
-    forward = [frozenset(u for u in sets[v] if rank[u] > rank[v]) for v in range(n)]
-
-    triangles: list[Triangle] = []
-    for v in range(n):
-        fv = forward[v]
-        for u in fv:
-            for w in fv & forward[u]:
-                a, b, c = sorted((v, u, w))
-                triangles.append((a, b, c))
-    triangles.sort()
-    return triangles
+    """All triangles, each once, as node triples sorted ascending, in ascending order."""
+    return [tuple(t) for t in triangle_pass(graph).triangles.tolist()]
 
 
 def s_adjacency_factor(graph: Graph, u: int, v: int) -> int:
     """Number of triangles sitting on edge (u, v): the common-neighbor count."""
     if not graph.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge")
-    sets = graph.neighbor_sets()
-    return len(sets[u] & sets[v])
-
-
-def _t_factor(sets: Sequence[frozenset[int]], a: int, b: int, c: int) -> int:
-    """T factor of triangle (a, b, c) from the graph's neighbor sets."""
-    sa, sb, sc = sets[a], sets[b], sets[c]
-    common_ab = sa & sb
-    # each pair's common neighbors include the third vertex; triple-adjacent
-    # nodes appear in all three pair sets and must not count at all
-    triple = len(common_ab & sc)
-    return len(common_ab) + len(sb & sc) + len(sc & sa) - 3 - 3 * triple
+    return len(np.intersect1d(graph.neighbors(u), graph.neighbors(v), assume_unique=True))
 
 
 def t_adjacency_factor(graph: Graph, triangle: Sequence[int]) -> int:
@@ -109,24 +81,28 @@ def t_adjacency_factor(graph: Graph, triangle: Sequence[int]) -> int:
         graph.has_edge(a, b) and graph.has_edge(b, c) and graph.has_edge(a, c)
     ):
         raise ValueError(f"({a}, {b}, {c}) is not a triangle")
-    return _t_factor(graph.neighbor_sets(), a, b, c)
+    _, hits = np.unique(graph.neighbors(a) + graph.neighbors(b) + graph.neighbors(c), return_counts=True)
+    # each vertex is adjacent to exactly the other two, so it is counted and taken off
+    return int(np.count_nonzero(hits == 2)) - 3
 
 
 def census(graph: Graph, kind: str) -> AdjacencyCensus:
-    """Adjacency factors for every edge (kind "s") or every triangle (kind "t")."""
-    k = _normalize_kind(kind)
-    sets = graph.neighbor_sets()
-    if k == "s":
-        units: list[tuple[int, ...]] = []
-        factors: list[int] = []
-        for u, v in graph.edges():
-            units.append((u, v))
-            factors.append(len(sets[u] & sets[v]))
-        return AdjacencyCensus(kind="s", units=units, factors=np.asarray(factors, dtype=np.int64))
+    """Adjacency factors for every edge (kind "s") or every triangle (kind "t").
 
-    triangles = enumerate_triangles(graph)
-    factors = [_t_factor(sets, a, b, c) for a, b, c in triangles]
-    return AdjacencyCensus(kind="t", units=triangles, factors=np.asarray(factors, dtype=np.int64))
+    Both read one triangle listing. The S factor of an edge is its
+    common-neighbor count. The T factor of triangle abc is
+    s_ab + s_bc + s_ca - 3 - 3 K4(abc): each pair's common neighbors include
+    the third vertex, and a node adjacent to all three (one per K4 on the
+    triangle) sits in all three pair counts but must not count at all.
+    Units are int64 rows: (u, v) in `Graph.edges()` order, or (a, b, c)
+    ascending, in ascending order.
+    """
+    k = _normalize_kind(kind)
+    listing = triangle_pass(graph)
+    if k == "s":
+        return AdjacencyCensus(kind="s", units=listing.edges, factors=listing.common)
+    factors = listing.common[listing.sides].sum(axis=1) - 3 - 3 * clique_counts(graph, listing)
+    return AdjacencyCensus(kind="t", units=listing.triangles, factors=factors)
 
 
 def to_distribution(c: AdjacencyCensus) -> DistributionSeries:
@@ -193,5 +169,5 @@ def write_census_csv(c: AdjacencyCensus, target: str | Path | IO[str]) -> None:
         return
     writer = csv.writer(target)
     writer.writerow(["u", "v", "factor"] if c.kind == "s" else ["a", "b", "c", "factor"])
-    for unit, factor in zip(c.units, c.factors):
-        writer.writerow([*unit, int(factor)])
+    for unit, factor in zip(c.units.tolist(), c.factors.tolist()):
+        writer.writerow([*unit, factor])

@@ -1,11 +1,16 @@
-"""Undirected simple graph type, edge-list ingestion, and clustering coefficients."""
+"""Undirected simple graph type (CSR), edge-list ingestion, triangle pass, clustering coefficients."""
 
 from __future__ import annotations
 
 import json
+import operator
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Collection, Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 
 class ParseError(ValueError):
@@ -33,31 +38,34 @@ class IngestReport:
 class Graph:
     """Immutable undirected simple graph with dense node ids 0..n-1.
 
-    Adjacency is held once, as one frozenset of neighbors per node, and
-    `neighbor_sets()` returns it. The constructor takes one collection of
-    neighbor ids per node (a repeated id counts once) and rejects ids out of
-    range, self-loops and asymmetric adjacency in O(E). `neighbors(v)` and
-    `edges()` give ascending order. Instances are safe for concurrent reads;
-    all mutation happens before construction.
+    Adjacency is held once, in compressed sparse row (CSR) form: the
+    neighbors of v are `indices[indptr[v]:indptr[v + 1]]`, in ascending
+    order, and both int64 arrays are read-only. The constructor takes one
+    collection of neighbor ids per node (a repeated id counts once) and
+    rejects ids out of range, self-loops and asymmetric adjacency with array
+    operations. `neighbors(v)` and `edges()` give ascending order. Instances
+    are safe for concurrent reads; all mutation happens before construction.
     """
 
-    __slots__ = ("_adjacency", "_edge_count")
+    # memoryviews of the CSR arrays: an item read gives a Python int, which keeps
+    # the per-call lookups (has_edge, degree, neighbors) free of numpy overhead
+    __slots__ = ("_indptr", "_indices")
 
-    def __init__(self, adjacency: Sequence[Iterable[int]]):
-        adj = tuple(frozenset(neighbors) for neighbors in adjacency)
-        n = len(adj)
-        degree_sum = 0
-        for v, neighbors in enumerate(adj):
-            if v in neighbors:
-                raise ValueError(f"self-loop at node {v}")
-            for u in neighbors:
-                if not 0 <= u < n:
-                    raise ValueError(f"neighbor {u} of node {v} out of range")
-                if v not in adj[u]:
-                    raise ValueError(f"node {u} is a neighbor of {v} but not vice versa")
-            degree_sum += len(neighbors)
-        self._adjacency = adj
-        self._edge_count = degree_sum // 2
+    def __init__(self, adjacency: Sequence[Collection[int]]):
+        n = len(adjacency)
+        degrees = np.fromiter(map(len, adjacency), np.int64, n)
+        try:
+            targets = np.fromiter(chain.from_iterable(adjacency), np.int64, int(degrees.sum()))
+        except OverflowError:
+            raise ValueError("neighbor id out of range") from None
+        self._indptr, self._indices = _csr(np.repeat(np.arange(n), degrees), targets, n)
+
+    @classmethod
+    def _from_pairs(cls, u: np.ndarray, v: np.ndarray, node_count: int) -> "Graph":
+        """Graph of the undirected pairs (u[i], v[i]), each pair given once."""
+        graph = cls.__new__(cls)
+        graph._indptr, graph._indices = _csr(np.concatenate((u, v)), np.concatenate((v, u)), node_count)
+        return graph
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]], node_count: int | None = None) -> "Graph":
@@ -81,60 +89,228 @@ class Graph:
         n = max_id + 1 if node_count is None else node_count
         if n < max_id + 1:
             raise ValueError(f"node_count={n} too small for edge endpoint {max_id}")
-        return cls(_neighbor_lists(seen, n))
+        pairs = np.array(list(seen), dtype=np.int64).reshape(-1, 2)
+        return cls._from_pairs(pairs[:, 0], pairs[:, 1], n)
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """Row offsets, n + 1 entries (read-only int64 array)."""
+        return np.asarray(self._indptr)
+
+    @property
+    def indices(self) -> np.ndarray:
+        """Neighbor ids, row by row, each row ascending (read-only int64 array)."""
+        return np.asarray(self._indices)
 
     @property
     def node_count(self) -> int:
-        return len(self._adjacency)
+        return len(self._indptr) - 1
 
     @property
     def edge_count(self) -> int:
-        return self._edge_count
+        return len(self._indices) // 2
+
+    def _row(self, v: int) -> slice:
+        """Slice of `indices` holding v's neighbors."""
+        if not 0 <= v < len(self._indptr) - 1:
+            raise IndexError(f"node {v} not in graph")
+        return slice(self._indptr[v], self._indptr[v + 1])
 
     def degree(self, v: int) -> int:
-        return len(self._adjacency[v])
+        row = self._row(v)
+        return row.stop - row.start
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(neighbors) for neighbors in self._adjacency)
+        return tuple(np.diff(self.indptr).tolist())
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in ascending order."""
-        return tuple(sorted(self._adjacency[v]))
-
-    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        """Per-node neighbor sets: the graph's own adjacency."""
-        return self._adjacency
+        return tuple(self._indices[self._row(v)])
 
     def has_edge(self, u: int, v: int) -> bool:
-        n = self.node_count
-        return 0 <= u < n and 0 <= v < n and v in self._adjacency[u]
+        u, v = operator.index(u), operator.index(v)
+        indptr, indices = self._indptr, self._indices
+        n = len(indptr) - 1
+        if not (0 <= u < n and 0 <= v < n):
+            return False
+        end = indptr[u + 1]
+        i = bisect_left(indices, v, indptr[u], end)
+        return i < end and indices[i] == v
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in ascending order."""
-        for u, neighbors in enumerate(self._adjacency):
-            for v in sorted(neighbors):
-                if v > u:
-                    yield (u, v)
+        u, v = _upper_edges(self.indptr, self.indices)
+        return zip(u.tolist(), v.tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._adjacency == other._adjacency
+        return np.array_equal(self.indptr, other.indptr) and np.array_equal(self.indices, other.indices)
 
     def __hash__(self) -> int:
-        return hash(self._adjacency)
+        return hash((bytes(self._indptr), bytes(self._indices)))
+
+    def __getstate__(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.indptr, self.indices
+
+    def __setstate__(self, state: tuple[np.ndarray, np.ndarray]) -> None:
+        self._indptr, self._indices = (_frozen_view(a) for a in state)
 
     def __repr__(self) -> str:
         return f"Graph(nodes={self.node_count}, edges={self.edge_count})"
 
 
-def _neighbor_lists(pairs: Iterable[tuple[int, int]], node_count: int) -> list[list[int]]:
-    """Per-node neighbor lists of nodes 0..node_count-1 from distinct undirected pairs."""
-    adjacency: list[list[int]] = [[] for _ in range(node_count)]
-    for u, v in pairs:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    return adjacency
+def _frozen_view(array: np.ndarray) -> memoryview:
+    array = np.ascontiguousarray(array, dtype=np.int64)
+    array.flags.writeable = False
+    return memoryview(array)
+
+
+def _csr(sources: np.ndarray, targets: np.ndarray, n: int) -> tuple[memoryview, memoryview]:
+    """Validated CSR of directed entries sources[i] -> targets[i]; repeats collapse."""
+    bad = np.flatnonzero((targets < 0) | (targets >= n))
+    if len(bad):
+        raise ValueError(f"neighbor {targets[bad[0]]} of node {sources[bad[0]]} out of range")
+    loops = np.flatnonzero(sources == targets)
+    if len(loops):
+        raise ValueError(f"self-loop at node {sources[loops[0]]}")
+    keys = _sorted_unique(sources * n + targets)
+    sources, targets = np.divmod(keys, n)
+    reverse = targets * n + sources
+    if not np.array_equal(np.sort(reverse), keys):
+        first = np.flatnonzero(_find(keys, reverse) < 0)[0]
+        raise ValueError(f"node {targets[first]} is a neighbor of {sources[first]} but not vice versa")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources, minlength=n), out=indptr[1:])
+    return _frozen_view(indptr), _frozen_view(targets)
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Distinct values in ascending order (np.unique hashes int64 and is far slower here)."""
+    values = np.sort(values)
+    distinct = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=distinct[1:])
+    return values[distinct]
+
+
+def _find(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Position of each query in the ascending array keys, or -1 where it is absent."""
+    if len(keys) == 0:
+        return np.full(len(queries), -1, dtype=np.int64)
+    # searching in query order halves the time of a search in random order
+    order = np.argsort(queries)
+    positions = np.empty(len(queries), dtype=np.int64)
+    positions[order] = np.searchsorted(keys, queries[order])
+    del order
+    np.minimum(positions, len(keys) - 1, out=positions)
+    positions[keys[positions] != queries] = -1
+    return positions
+
+
+def _upper_edges(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays (u, v) of every edge with u < v, in ascending order."""
+    sources = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    upper = sources < indices
+    return sources[upper], indices[upper]
+
+
+def _segments(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated ranges starts[i] .. starts[i] + counts[i] - 1, and the i of each entry."""
+    owners = np.repeat(np.arange(len(counts)), counts)
+    positions = np.arange(len(owners))
+    positions += np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return positions, owners
+
+
+class TrianglePass(NamedTuple):
+    """Every edge and triangle of a graph, from one degree-ordered listing.
+
+    edges: (E, 2) rows (u, v), u < v, in the order of `Graph.edges()`.
+    common: (E,) common-neighbor count of each edge, i.e. its triangles.
+    triangles: (T, 3) rows (a, b, c), a < b < c, in ascending order.
+    sides: (T, 3) row numbers in `edges` of (a, b), (b, c) and (a, c).
+    """
+
+    edges: np.ndarray
+    common: np.ndarray
+    triangles: np.ndarray
+    sides: np.ndarray
+
+
+def _forward(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rank by (degree, id), and each node's higher-ranked neighbors as a CSR.
+
+    Returns (rank, fptr, fsrc, fdst): forward entry i runs fsrc[i] -> fdst[i],
+    and the entries of node x are fptr[x] .. fptr[x + 1] - 1, ids ascending.
+    """
+    indptr, indices = graph.indptr, graph.indices
+    degrees = np.diff(indptr)
+    rank = np.empty(len(degrees), dtype=np.int64)
+    rank[np.argsort(degrees, kind="stable")] = np.arange(len(degrees))
+    sources = np.repeat(np.arange(len(degrees)), degrees)
+    forward = rank[sources] < rank[indices]
+    fsrc = sources[forward]
+    fptr = np.zeros(len(indptr), dtype=np.int64)
+    np.cumsum(np.bincount(fsrc, minlength=len(degrees)), out=fptr[1:])
+    return rank, fptr, fsrc, indices[forward]
+
+
+def triangle_pass(graph: Graph) -> TrianglePass:
+    """List every triangle once and count the triangles on every edge.
+
+    Each edge is oriented toward its endpoint of higher (degree, id) rank
+    (Chiba & Nishizeki, SIAM J. Comput. 14, 1985), so forward lists stay
+    short and each triangle is one forward wedge (two entries of one forward
+    list) whose ends are joined by an edge, looked up among the sorted edge keys.
+    """
+    n = graph.node_count
+    u, v = _upper_edges(graph.indptr, graph.indices)
+    keys = u * n + v
+    _, fptr, fsrc, fdst = _forward(graph)
+    later = np.arange(1, len(fdst) + 1)
+    second, first = _segments(later, fptr[fsrc + 1] - later)  # entry pairs first < second of one list
+    del later
+    hit = _find(keys, fdst[first] * n + fdst[second]) >= 0  # fdst[first] < fdst[second]
+    first, second = first[hit], second[hit]
+    triangles = np.sort(np.column_stack((fsrc[first], fdst[first], fdst[second])), axis=1)
+    del first, second, fptr, fsrc, fdst
+    a, b, c = triangles.T
+    sides = np.column_stack((_find(keys, a * n + b), _find(keys, b * n + c), _find(keys, a * n + c)))
+    order = np.argsort(sides[:, 0] * n + c)  # row of edge (a, b), then c: ascending triangles
+    triangles, sides = triangles[order], sides[order]
+    common = np.bincount(sides.ravel(), minlength=len(keys))
+    return TrianglePass(np.column_stack((u, v)), common, triangles, sides)
+
+
+def clique_counts(graph: Graph, listing: TrianglePass) -> np.ndarray:
+    """Number of 4-cliques (K4) on each triangle of the listing.
+
+    A K4 is found once, from its three lowest-ranked nodes: the fourth node is
+    in the forward lists of all three, and the search runs through the forward
+    list of the top-ranked one.
+    """
+    n = graph.node_count
+    triangles = listing.triangles
+    keys = listing.edges[:, 0] * n + listing.edges[:, 1]
+    rank, fptr, fsrc, fdst = _forward(graph)
+    forward_keys = fsrc * n + fdst  # ascending
+    low, mid, top = np.take_along_axis(triangles, np.argsort(rank[triangles], axis=1), axis=1).T
+    positions, owners = _segments(fptr[top], fptr[top + 1] - fptr[top])
+    w = fdst[positions]
+    del positions, rank, fptr, fsrc, fdst
+    for vertex in (low, mid):  # w outranks both, so a K4 puts w in both forward lists
+        query = vertex[owners]
+        query *= n
+        query += w
+        kept = _find(forward_keys, query) >= 0
+        owners, w = owners[kept], w[kept]
+    triangle_keys = listing.sides[:, 0] * n + triangles[:, 2]
+    counts = [owners]
+    cliques = triangles[owners]
+    for pair in ((0, 1), (0, 2), (1, 2)):  # the other three triangles of each K4
+        p, q, r = np.sort(np.column_stack((cliques[:, pair], w)), axis=1).T
+        counts.append(_find(triangle_keys, _find(keys, p * n + q) * n + r))
+    return np.bincount(np.concatenate(counts), minlength=len(triangles))
 
 
 DEFAULT_COMMENT_PREFIXES = ("#", "%")
@@ -151,30 +327,26 @@ def parse_edge_list(
     endpoints; extra tokens (timestamps, weights) are ignored. Directed
     duplicates collapse to one edge and self-loops are dropped, both counted
     in the report. Node labels may be arbitrary nonnegative integers and are
-    remapped to dense ids in ascending label order.
+    remapped to dense ids in ascending label order; a label seen only in a
+    self-loop stays as an isolated node.
     """
     if isinstance(source, str):
         lines: Iterable[str] = source.splitlines()
     else:
         lines = source
 
-    pair_set: set[tuple[int, int]] = set()
-    labels: set[int] = set()
-    lines_read = 0
-    self_loops = 0
-    duplicates = 0
-
+    prefixes = tuple(comment_prefixes)
+    endpoints: list[int] = []  # u, v of every edge line, in file order
+    line_number = 0
     for line_number, raw in enumerate(lines, start=1):
-        lines_read += 1
         stripped = raw.strip()
-        if not stripped or any(stripped.startswith(p) for p in comment_prefixes):
+        if not stripped or stripped.startswith(prefixes):
             continue
         for ch in extra_delimiters:
             stripped = stripped.replace(ch, " ")
-        tokens = stripped.split()
+        tokens = stripped.split(None, 2)
         if len(tokens) < 2:
             raise ParseError("expected at least two integer columns", line_number)
-        endpoints = []
         for token in tokens[:2]:
             try:
                 value = int(token)
@@ -183,24 +355,22 @@ def parse_edge_list(
             if value < 0:
                 raise ParseError(f"negative node id {value}", line_number)
             endpoints.append(value)
-        u, v = endpoints
-        labels.add(u)
-        labels.add(v)
-        if u == v:
-            self_loops += 1
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in pair_set:
-            duplicates += 1
-        else:
-            pair_set.add(key)
 
-    remap = {label: i for i, label in enumerate(sorted(labels))}
-    graph = Graph(_neighbor_lists(((remap[u], remap[v]) for u, v in pair_set), len(remap)))
+    # labels of any size: remap through Python ints, never an int64 cast
+    labels = sorted(set(endpoints))
+    remap = {label: i for i, label in enumerate(labels)}
+    ids = np.fromiter(map(remap.__getitem__, endpoints), np.int64, len(endpoints))
+    del endpoints, remap
+    n = len(labels)
+    u, v = ids[0::2], ids[1::2]
+    kept = u != v
+    keys = np.minimum(u, v)[kept] * n + np.maximum(u, v)[kept]
+    unique = _sorted_unique(keys)
+    graph = Graph._from_pairs(*np.divmod(unique, n), n)
     report = IngestReport(
-        lines_read=lines_read,
-        self_loops_dropped=self_loops,
-        duplicates_dropped=duplicates,
+        lines_read=line_number,
+        self_loops_dropped=len(u) - len(keys),
+        duplicates_dropped=len(keys) - len(unique),
         nodes=graph.node_count,
         edges=graph.edge_count,
     )
@@ -230,20 +400,30 @@ def local_clustering_coefficient(graph: Graph, v: int) -> float:
     """
     if not 0 <= v < graph.node_count:
         raise ValueError(f"node {v} not in graph")
-    sets = graph.neighbor_sets()
-    own = sets[v]
+    own = graph.neighbors(v)
     k = len(own)
     if k < 2:
         return 0.0
-    links = sum(len(own & sets[u]) for u in own) // 2
-    return links / (k * (k - 1) / 2)
+    links = np.isin(np.concatenate([graph.neighbors(u) for u in own]), own).sum() // 2
+    return int(links) / (k * (k - 1) / 2)
+
+
+def mean_local_clustering(triangles: Sequence[int], degrees: Sequence[int]) -> float:
+    """Mean of t / (k(k-1)/2) over nodes, 0 where k < 2, summed strictly in node order.
+
+    The sequential sum keeps the result bit-identical to a plain loop;
+    `np.sum` adds pairwise and the builtin `sum` compensates on Python 3.12+.
+    """
+    t = np.asarray(triangles, dtype=np.float64)
+    k = np.asarray(degrees, dtype=np.float64)
+    local = np.zeros(len(t))
+    np.divide(t, k * (k - 1) / 2, out=local, where=k >= 2)
+    return float(np.add.accumulate(local)[-1]) / len(t)
 
 
 def average_clustering_coefficient(graph: Graph) -> float:
     """Arithmetic mean of the local clustering coefficient over all nodes."""
     if graph.node_count == 0:
         raise ValueError("empty graph")
-    total = 0.0
-    for v in range(graph.node_count):
-        total += local_clustering_coefficient(graph, v)
-    return total / graph.node_count
+    per_node = np.bincount(triangle_pass(graph).triangles.ravel(), minlength=graph.node_count)
+    return mean_local_clustering(per_node, np.diff(graph.indptr))

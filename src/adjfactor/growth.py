@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, mean_local_clustering
 
 
 class CalibrationError(RuntimeError):
@@ -163,15 +163,11 @@ def derive_seed(master_seed: int, *key: int) -> int:
 
 
 def _pilot_mean_cc(n: int, n0: int, m: int, p_t: float, pilot_seeds: Sequence[int]) -> float:
-    """Pilot-mean average CC from growth-time triangle counts (same sum as the graph module)."""
+    """Pilot-mean average CC from growth-time triangle counts."""
     values = []
     for s in pilot_seeds:
         neighbor_lists, triangles = _grow(GrowthConfig(n=n, n0=n0, m=m, p_t=p_t, seed=s))
-        total = 0.0
-        for t, k in zip(triangles, map(len, neighbor_lists)):
-            if k >= 2:
-                total += t / (k * (k - 1) / 2)
-        values.append(total / n)
+        values.append(mean_local_clustering(triangles, list(map(len, neighbor_lists))))
     return float(np.mean(values))
 
 

@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from adjfactor import Graph
+from adjfactor import Graph, IngestReport, ParseError
 
 
 def complete_graph(n: int) -> Graph:
@@ -59,6 +59,53 @@ def brute_t_factor(g: Graph, tri: tuple[int, int, int]) -> int:
         if hits == 2:
             count += 1
     return count
+
+
+def set_t_factor(sets: list[set[int]], a: int, b: int, c: int) -> int:
+    """T factor of triangle (a, b, c) from per-node neighbor sets.
+
+    Each pair's common neighbors include the third vertex; triple-adjacent
+    nodes appear in all three pair sets and must not count at all.
+    """
+    common_ab = sets[a] & sets[b]
+    triple = len(common_ab & sets[c])
+    return len(common_ab) + len(sets[b] & sets[c]) + len(sets[c] & sets[a]) - 3 - 3 * triple
+
+
+def reference_parse(text: str) -> tuple[IngestReport, set[tuple[int, int]]]:
+    """Edge-list parsing with a set of label pairs and a label dict, line by line."""
+    pairs: set[tuple[int, int]] = set()
+    labels: set[int] = set()
+    self_loops = duplicates = 0
+    lines = text.splitlines()
+    for line_number, raw in enumerate(lines, start=1):
+        stripped = raw.strip()
+        if not stripped or stripped[0] in "#%":
+            continue
+        tokens = stripped.replace(",", " ").replace(";", " ").split()
+        if len(tokens) < 2:
+            raise ParseError("expected at least two integer columns", line_number)
+        endpoints = []
+        for token in tokens[:2]:
+            try:
+                value = int(token)
+            except ValueError:
+                raise ParseError(f"non-integer token {token!r}", line_number) from None
+            if value < 0:
+                raise ParseError(f"negative node id {value}", line_number)
+            endpoints.append(value)
+        u, v = endpoints
+        labels.update((u, v))
+        if u == v:
+            self_loops += 1
+        elif (min(u, v), max(u, v)) in pairs:
+            duplicates += 1
+        else:
+            pairs.add((min(u, v), max(u, v)))
+    ids = {label: i for i, label in enumerate(sorted(labels))}
+    edges = {(ids[u], ids[v]) for u, v in pairs}
+    report = IngestReport(len(lines), self_loops, duplicates, len(ids), len(edges))
+    return report, edges
 
 
 def series_erfc(x: float) -> float:

@@ -5,8 +5,11 @@ import pytest
 
 from adjfactor import (
     Graph,
+    GrowthConfig,
+    average_clustering_coefficient,
     census,
     enumerate_triangles,
+    generate_pa_tf,
     read_distribution_csv,
     s_adjacency_factor,
     t_adjacency_factor,
@@ -21,6 +24,7 @@ from helpers import (
     complete_graph,
     cycle_graph,
     er_graph,
+    set_t_factor,
 )
 
 
@@ -148,6 +152,34 @@ class TestCensus:
                 if w not in tri and all(g.has_edge(w, v) for v in tri)
             )
             assert (factor == sharing) == (triple == 0)
+
+
+class TestLargeGraphCrossCheck:
+    """Census and average CC against networkx on graphs too big for brute force."""
+
+    @pytest.mark.parametrize("source", ["pa_tf_25k_edges", "powerlaw_cluster_100k_edges"])
+    def test_matches_networkx(self, source):
+        nx = pytest.importorskip("networkx")
+        if source == "pa_tf_25k_edges":
+            g = generate_pa_tf(GrowthConfig(n=5000, n0=5, m=5, p_t=0.6, seed=3))
+            h = nx.Graph(g.edges())
+            triangles = nx.triangles(h)
+            expected_cc = nx.average_clustering(h)
+        else:
+            h = nx.powerlaw_cluster_graph(20000, 5, 0.3, seed=7)
+            g = Graph.from_edges(h.edges(), node_count=h.number_of_nodes())
+            triangles = nx.triangles(h)
+            # nx.average_clustering takes about 2 s here: its definition on networkx's counts
+            expected_cc = sum(
+                2 * triangles[v] / (k * (k - 1)) if k > 1 else 0.0 for v, k in h.degree()
+            ) / h.number_of_nodes()
+        assert g.node_count == h.number_of_nodes() and g.edge_count == h.number_of_edges()
+        s, t = census(g, "s"), census(g, "t")
+        assert 3 * len(t) == sum(triangles.values())
+        sets = [set(h[v]) for v in range(g.node_count)]
+        assert s.factors.tolist() == [len(sets[u] & sets[v]) for u, v in s.units.tolist()]
+        assert abs(average_clustering_coefficient(g) - expected_cc) <= 1e-12
+        assert t.factors.tolist() == [set_t_factor(sets, a, b, c) for a, b, c in t.units.tolist()]
 
 
 class TestDistribution:

@@ -1,5 +1,7 @@
 import io
+import pickle
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -63,6 +65,38 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_edge_list("7\n")
 
+    @pytest.mark.parametrize(
+        "text, edges, report",
+        [
+            (f"{2**64} 5\n{2**63} {2**64}\n", {(0, 2), (1, 2)}, (2, 0, 0, 3, 2)),
+            ("+7 8\n007 9\n+7 007\n", {(0, 1), (0, 2)}, (3, 1, 0, 3, 2)),
+            ("3 3\n1 2\n2 1\n", {(0, 1)}, (3, 1, 1, 3, 1)),
+            ("1\t2\r\n2;3\r\n3 , 1\r\n", {(0, 1), (1, 2), (0, 2)}, (3, 0, 0, 3, 3)),
+        ],
+        ids=["labels_beyond_int64", "signed_and_zero_padded", "label_only_in_self_loop",
+             "crlf_tab_semicolon"],
+    )
+    def test_ingest_pins(self, text, edges, report):
+        """report: lines read, self-loops dropped, duplicates dropped, nodes, edges."""
+        g, got = parse_edge_list(text)
+        assert set(g.edges()) == edges
+        assert tuple(asdict(got).values()) == report
+        assert (g.node_count, g.edge_count) == report[3:]
+
+    @pytest.mark.parametrize(
+        "text, line_number, message",
+        [
+            ("# c\n\n% d\n1 2\nx 3\n", 5, "non-integer token 'x'"),
+            ("\n\n0 1\n# 5\n5\n", 5, "expected at least two integer columns"),
+            ("0 1\n\n   \n-3 +\n", 4, "negative node id -3"),
+        ],
+        ids=["non_integer", "one_column", "negative_before_non_integer"],
+    )
+    def test_error_line_number_counts_blank_and_comment_lines(self, text, line_number, message):
+        with pytest.raises(ParseError) as info:
+            parse_edge_list(text)
+        assert (info.value.line_number, str(info.value)) == (line_number, f"line {line_number}: {message}")
+
     def test_labels_remapped_dense(self):
         g, report = parse_edge_list("100 200\n200 350\n")
         assert g.node_count == 3
@@ -109,6 +143,28 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph(adjacency)
 
+    def test_constructor_sorts_and_collapses_repeated_ids(self):
+        g = Graph([[2, 1, 1], {0}, (0, 0)])
+        assert (g.neighbors(0), g.neighbors(1), g.neighbors(2), g.edge_count) == ((1, 2), (0,), (0,), 2)
+        assert g == Graph.from_edges([(0, 1), (0, 2)])
+
+    @pytest.mark.parametrize("v", [-1, 3])
+    def test_node_out_of_range_has_no_row(self, v):
+        g = path_graph(3)
+        for read in (g.degree, g.neighbors):
+            with pytest.raises(IndexError):
+                read(v)
+        assert not g.has_edge(v, 0)
+
+    def test_csr_is_read_only_and_survives_pickling(self):
+        g = er_graph(20, 0.4, seed=2)
+        with pytest.raises(ValueError):
+            g.indices[0] = 1
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and hash(copy) == hash(g)
+        with pytest.raises(ValueError):
+            copy.indptr[0] = 1
+
     def test_neighbors_sorted_and_symmetric(self):
         g = er_graph(20, 0.4, seed=2)
         for v in range(g.node_count):
@@ -147,6 +203,13 @@ class TestClustering:
 
     def test_average_path(self):
         assert average_clustering_coefficient(path_graph(3)) == 0.0
+
+    def test_average_sums_local_values_in_node_order(self):
+        g = generate_pa_tf(GrowthConfig(n=3000, n0=3, m=3, p_t=0.5, seed=1))
+        total = 0.0
+        for v in range(g.node_count):
+            total += local_clustering_coefficient(g, v)
+        assert average_clustering_coefficient(g) == total / g.node_count
 
     def test_average_empty_graph(self):
         with pytest.raises(ValueError):
