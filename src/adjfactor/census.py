@@ -16,7 +16,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .graph import Graph, clique_counts, triangle_pass
+from .graph import DataError, Graph, clique_counts, triangle_pass
 
 Triangle = tuple[int, int, int]
 
@@ -112,7 +112,7 @@ def to_distribution(c: AdjacencyCensus) -> DistributionSeries:
     whole census.
     """
     if len(c) == 0:
-        raise ValueError("empty census")
+        raise DataError("empty census")
     support, counts = np.unique(c.factors, return_counts=True)
     freq = counts / counts.sum()
     return DistributionSeries(support=support, counts=counts, freq=freq)

@@ -13,7 +13,11 @@ from typing import IO, Collection, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 
-class ParseError(ValueError):
+class DataError(ValueError):
+    """The input network cannot be analysed: it is unreadable, malformed or has nothing to count."""
+
+
+class ParseError(DataError):
     """An edge-list line could not be parsed. Carries the 1-based line number."""
 
     def __init__(self, message: str, line_number: int):
@@ -378,8 +382,13 @@ def parse_edge_list(
 
 
 def load_edge_list(path: str | Path, **kwargs) -> tuple[Graph, IngestReport]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_edge_list(handle, **kwargs)
+    """Read and parse an edge-list file. A file that cannot be opened or read,
+    or is not UTF-8 text, raises `DataError`, as a malformed line does."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse_edge_list(handle, **kwargs)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(str(exc)) from exc
 
 
 def write_edge_list(graph: Graph, target: str | Path | IO[str]) -> None:
@@ -424,6 +433,6 @@ def mean_local_clustering(triangles: Sequence[int], degrees: Sequence[int]) -> f
 def average_clustering_coefficient(graph: Graph) -> float:
     """Arithmetic mean of the local clustering coefficient over all nodes."""
     if graph.node_count == 0:
-        raise ValueError("empty graph")
+        raise DataError("empty graph")
     per_node = np.bincount(triangle_pass(graph).triangles.ravel(), minlength=graph.node_count)
     return mean_local_clustering(per_node, np.diff(graph.indptr))

@@ -303,6 +303,11 @@ def _lockstep(
     return results
 
 
+def _beats(fun: float, incumbent: float) -> bool:
+    """Whether an objective value improves on the incumbent; NaN is worse than any number."""
+    return fun < incumbent or (math.isnan(incumbent) and not math.isnan(fun))
+
+
 def _multistart_simplex(
     score: Callable[[np.ndarray], np.ndarray],
     bounds: list[tuple[float, float]],
@@ -317,11 +322,11 @@ def _multistart_simplex(
     starts = [(low + h * (high - low)).tolist() for h in _halton(n_starts, len(bounds))]
     best = None
     for result in _lockstep(score, starts, bounds, xatol=1e-10, fatol=1e-14):
-        if best is None or result.fun < best.fun:
+        if best is None or _beats(result.fun, best.fun):
             best = result
     for _ in range(6):
         (result,) = _lockstep(score, [best.x], bounds, xatol=1e-13, fatol=1e-16)
-        if result.fun < best.fun:
+        if _beats(result.fun, best.fun):
             best = result
         else:
             break
@@ -377,7 +382,7 @@ def fit(
             return _sse(emg_model(x, p[:, 0:1], p[:, 1:2], 0.0), observed)
 
         pinned = _multistart_simplex(score_exp, [(1e-6, 5.0), (0.0, x_max)], n_starts)
-        if pinned.fun < best.fun:
+        if _beats(pinned.fun, best.fun):
             values = [*pinned.x, 0.0]
             best = pinned
         else:

@@ -5,6 +5,15 @@ distributions, grows size- and clustering-matched replicas, fits both models
 to the real and replica distributions, and compares best-fit parameters with
 a one-sample t-test. Everything is derived from one master seed, and the
 report is byte-identical across runs, output directories, and worker counts.
+
+With `workers` > 1, a process pool runs the real network's census and fits
+while the main process calibrates p_t, then grows, censuses and fits the
+replicas. With one worker every stage runs inline, in stage order. A failed
+network reports its earliest failing stage, whatever ran first: a real-fit
+failure beats a calibration failure, and no later stage leaves a report key
+or a file. Unreadable, unparsable or empty inputs are data failures (exit 2),
+unfittable series and unreachable targets numeric ones (exit 3); any other
+exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .census import census, to_distribution, write_distribution_csv
-from .graph import Graph, load_edge_list, average_clustering_coefficient, write_edge_list
+from .graph import DataError, Graph, load_edge_list, average_clustering_coefficient, write_edge_list
 from .growth import (
     CalibrationError,
     GrowthConfig,
@@ -59,6 +68,10 @@ class ExperimentConfig:
             raise ValueError("replicas must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.calibration_tolerance <= 0:
+            raise ValueError("calibration_tolerance must be positive")
+        if self.calibration_pilots < 1:
+            raise ValueError("calibration_pilots must be >= 1")
         self.out_dir = Path(self.out_dir)
 
     def echo(self) -> dict:
@@ -200,19 +213,30 @@ def _process_network(
         }
 
         stage = "census_and_fit_real"
-        real = _fit_both_kinds(graph, "real", net_dir, config.log_base)
+        if executor is None:
+            real = _fit_both_kinds(graph, "real", net_dir, config.log_base)
+        else:
+            real_job = executor.submit(_fit_both_kinds, graph, "real", net_dir, config.log_base)
 
         stage = "calibration"
-        base = derive_growth_config(graph.node_count, graph.edge_count)
-        calibration = calibrate_pt(
-            base.n,
-            base.m,
-            avg_cc,
-            tolerance=config.calibration_tolerance,
-            pilots=config.calibration_pilots,
-            seed=derive_seed(config.seed, net_index, 0),
-            n0=base.n0,
-        )
+        try:
+            base = derive_growth_config(graph.node_count, graph.edge_count)
+            calibration = calibrate_pt(
+                base.n,
+                base.m,
+                avg_cc,
+                tolerance=config.calibration_tolerance,
+                pilots=config.calibration_pilots,
+                seed=derive_seed(config.seed, net_index, 0),
+                n0=base.n0,
+            )
+        finally:
+            if executor is not None:
+                # the earlier stage's failure wins, as if it had run first:
+                # raised here, it replaces any exception calibration raised
+                stage = "census_and_fit_real"
+                real = real_job.result()
+                stage = "calibration"
         grown_config = replace(base, p_t=calibration.p_t)
         entry["growth"] = {
             "config": grown_config.metadata(),
@@ -251,7 +275,7 @@ def _process_network(
     except (FitError, CalibrationError) as exc:
         entry.update(status="failed", failed_stage=stage, error=str(exc))
         return entry, "numeric"
-    except (OSError, ValueError) as exc:
+    except DataError as exc:
         entry.update(status="failed", failed_stage=stage, error=str(exc))
         return entry, "data"
 

@@ -6,12 +6,14 @@ from dataclasses import asdict
 import pytest
 
 from adjfactor import (
+    DataError,
     Graph,
     GrowthConfig,
     ParseError,
     average_clustering_coefficient,
     census,
     generate_pa_tf,
+    load_edge_list,
     local_clustering_coefficient,
     parse_edge_list,
     write_edge_list,
@@ -112,6 +114,17 @@ class TestParse:
         assert g1 == g2
         assert g1.degrees() == g2.degrees()
         assert list(census(g1, "s").factors) == list(census(g2, "s").factors)
+
+    @pytest.mark.parametrize(
+        "content", [None, b"\xff\xfe1 2\n", b"1 2\n3 \xe9\n"],
+        ids=["missing", "binary", "latin1_line"],
+    )
+    def test_unreadable_file_is_data_error(self, tmp_path, content):
+        path = tmp_path / "input.txt"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(DataError):
+            load_edge_list(path)
 
     def test_round_trip(self):
         grown = generate_pa_tf(GrowthConfig(n=200, n0=3, m=3, p_t=0.5, seed=4))

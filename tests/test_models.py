@@ -348,6 +348,39 @@ class TestSimplexOracle:
             _assert_same_as_scipy(result, expected)
 
 
+def _bowl_nan_lower_left(p):
+    if p[0] < 0.6 and p[1] < 0.5:
+        return float("nan")
+    return float((p[0] - 0.9) ** 2 + (p[1] - 0.9) ** 2)
+
+
+class TestNanNeverWins:
+    """A NaN objective value loses to any number, also when it comes first."""
+
+    def test_multistart_replaces_nan_first_start(self):
+        bounds = [(0.0, 1.0), (0.0, 1.0)]
+        (first,) = models._lockstep(
+            _batched(_bowl_nan_lower_left), [[0.5, 1 / 3]], bounds, 1e-10, 1e-14
+        )
+        assert math.isnan(first.fun)  # Halton start 0 lies in the NaN region
+        best = models._multistart_simplex(_batched(_bowl_nan_lower_left), bounds, 16)
+        assert best.fun < 1e-12
+        assert best.x == pytest.approx([0.9, 0.9], abs=1e-6)
+
+    def test_fit_takes_pinned_family_over_nan(self, monkeypatch):
+        original = models._multistart_simplex
+
+        def nan_unless_pinned(score, bounds, n_starts):
+            result = original(score, bounds, n_starts)
+            return result if len(bounds) == 2 else result._replace(fun=float("nan"))
+
+        monkeypatch.setattr(models, "_multistart_simplex", nan_unless_pinned)
+        x = np.arange(0, 30)
+        result = fit("emg", series_from(x, emg_model(x, 0.3, 0.0, 0.0)))
+        assert result.params["sigma"] == 0.0
+        assert result.sse < 1e-12
+
+
 class TestBatchedModels:
     """Parameter columns give the rows of separate scalar-parameter calls."""
 

@@ -4,7 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from adjfactor import ExperimentConfig, run_experiment, one_sample_t_test, write_edge_list
+from adjfactor import (
+    ExperimentConfig,
+    Graph,
+    GrowthConfig,
+    generate_pa_tf,
+    one_sample_t_test,
+    pipeline,
+    run_experiment,
+    write_edge_list,
+)
 from conftest import small_experiment_config
 from helpers import path_graph
 
@@ -143,9 +152,156 @@ class TestFailureHandling:
         assert names == ["a_2", "a", "a_2_2"]
         assert sorted(p.name for p in out_dir.iterdir() if p.is_dir()) == sorted(names)
 
+    def test_non_utf8_dataset_marks_ingest_failure_and_continues(self, synthetic_input, tmp_path):
+        binary = tmp_path / "binary.txt"
+        binary.write_bytes(b"\xff\xfe1 2\n")
+        config = ExperimentConfig(
+            datasets=[str(binary), str(synthetic_input)],
+            out_dir=tmp_path / "partial",
+            replicas=1,
+            seed=5,
+            calibration_pilots=2,
+        )
+        report, code = run_experiment(config)
+        assert code == 2
+        assert report["networks"][0]["status"] == "failed"
+        assert report["networks"][0]["failed_stage"] == "ingest"
+        assert report["networks"][1]["status"] == "ok"
+        assert (tmp_path / "partial" / "report.json").exists()
+
     def test_invalid_config_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             ExperimentConfig(datasets=["x"], out_dir=tmp_path, replicas=0)
+
+    @pytest.mark.parametrize(
+        "setting",
+        [{"workers": 0}, {"calibration_tolerance": 0.0}, {"calibration_pilots": 0}],
+        ids=["workers", "tolerance", "pilots"],
+    )
+    def test_invalid_setting_rejected_before_any_work(self, tmp_path, setting):
+        with pytest.raises(ValueError):
+            ExperimentConfig(datasets=["x"], out_dir=tmp_path, **setting)
+
+
+def _with_k5s(graph: Graph, count: int) -> Graph:
+    """The graph plus `count` disjoint 5-cliques, numbered after its nodes."""
+    edges = list(graph.edges())
+    for k in range(count):
+        first = graph.node_count + 5 * k
+        edges += [(first + i, first + j) for i in range(5) for j in range(i + 1, 5)]
+    return Graph.from_edges(edges)
+
+
+# case -> (input graph or edge-list text, exit code, failed stage, files left in the network directory)
+REAL_FAILURE_FILES = {"ingest.json", "real_s_distribution.csv"}
+REAL_FILES = {f"real_{kind}_{name}" for kind in "st" for name in (
+    "distribution.csv", "fit.json", "model_curve.csv")}
+FAILURE_CASES = {
+    # no triangles: the S fit has no support >= 1
+    "real_fit": (lambda: path_graph(50), 3, "census_and_fit_real", REAL_FAILURE_FILES),
+    # fits succeed, but the K5s lift CC to 0.80, beyond p_t=1 (0.74)
+    "calibration": (
+        lambda: _with_k5s(generate_pa_tf(GrowthConfig(n=150, n0=3, m=2, p_t=0.45, seed=11)), 60),
+        3, "calibration", {"ingest.json"} | REAL_FILES,
+    ),
+    # every edge has factor 3 and CC is 1: both stages fail, the earlier one is reported
+    "both": (lambda: _with_k5s(Graph.from_edges([]), 20), 3, "census_and_fit_real",
+             REAL_FAILURE_FILES),
+    # a self-loop leaves one isolated node: no edges to census (a data error),
+    # and CC 0 is below what p_t=0 reaches
+    "empty_census": (lambda: "7 7\n", 2, "census_and_fit_real", {"ingest.json"}),
+    "empty_graph": (lambda: "# no edges\n", 2, "summary", {"ingest.json"}),
+}
+
+
+@pytest.fixture(scope="module")
+def failure_run(tmp_path_factory):
+    """(exit code, report entry, files in the network directory) of one case at one worker count."""
+    root = tmp_path_factory.mktemp("failures")
+    runs = {}
+
+    def run(case: str, workers: int):
+        if (case, workers) not in runs:
+            dataset = root / f"{case}.txt"
+            if not dataset.exists():
+                content = FAILURE_CASES[case][0]()
+                if isinstance(content, str):
+                    dataset.write_text(content)
+                else:
+                    write_edge_list(content, dataset)
+            out_dir = root / f"{case}_w{workers}"
+            config = ExperimentConfig(
+                datasets=[str(dataset)], out_dir=out_dir, replicas=2, seed=1,
+                calibration_pilots=2, workers=workers,
+            )
+            report, code = run_experiment(config)
+            (entry,) = report["networks"]
+            files = {p.name for p in (out_dir / entry["name"]).iterdir()}
+            runs[case, workers] = code, entry, files
+        return runs[case, workers]
+
+    return run
+
+
+class TestFailureParity:
+    """A failed network ends the same way whether or not stages overlap on a pool."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", list(FAILURE_CASES))
+    def test_same_outcome_at_every_worker_count(self, failure_run, case, workers):
+        _, expected_code, expected_stage, expected_files = FAILURE_CASES[case]
+        code, entry, files = failure_run(case, workers)
+        assert code == expected_code
+        assert entry["status"] == "failed"
+        assert entry["failed_stage"] == expected_stage
+        assert "growth" not in entry and "replicas" not in entry
+        assert files == expected_files
+        assert (code, entry, files) == failure_run(case, 1)
+
+
+class TestFailureClasses:
+    """Only data conditions are data errors; any other error is a bug and escapes."""
+
+    @pytest.mark.parametrize(
+        "target, error",
+        # census runs for the real network, generate_pa_tf only for replicas;
+        # a monkeypatch reaches only this process, so both run inline
+        [("census", ValueError), ("generate_pa_tf", TypeError)],
+    )
+    def test_bug_escapes(self, synthetic_input, tmp_path, monkeypatch, target, error):
+        def broken(*args, **kwargs):
+            raise error("a bug, not a data condition")
+
+        monkeypatch.setattr(pipeline, target, broken)
+        config = small_experiment_config(synthetic_input, tmp_path / "out", workers=1)
+        with pytest.raises(error, match="a bug"):
+            run_experiment(config)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("log_base, error", [("10", TypeError), (0.0, ValueError)])
+    def test_error_in_real_fit_escapes(self, synthetic_input, tmp_path, log_base, error, workers):
+        # the log base reaches the S fit as a task argument, so with workers > 1
+        # the error is raised in a pool worker under any start method
+        config = small_experiment_config(
+            synthetic_input, tmp_path / "out", workers=workers, log_base=log_base
+        )
+        with pytest.raises(error):
+            run_experiment(config)
+
+
+def test_every_output_file_identical_across_worker_counts(experiment_run, synthetic_input, tmp_path):
+    _, serial_dir, _ = experiment_run
+    parallel_dir = tmp_path / "parallel"
+    run_experiment(small_experiment_config(synthetic_input, parallel_dir, workers=2))
+
+    def tree(root):
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    serial, parallel = tree(serial_dir), tree(parallel_dir)
+    assert sorted(serial) == sorted(parallel)
+    assert len(serial) > 20
+    for name, content in serial.items():
+        assert parallel[name] == content, name
 
 
 class TestTableExports:
