@@ -130,13 +130,18 @@ def write_distribution_csv(series: DistributionSeries, target: str | Path | IO[s
 
 
 def read_distribution_csv(source: str | Path | IO[str]) -> DistributionSeries:
+    """Read a "factor,count,freq" CSV. A file that cannot be opened or read, or
+    is not UTF-8 text, raises `DataError`, as malformed content does."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            return read_distribution_csv(handle)
+        try:
+            with open(source, "r", encoding="utf-8", newline="") as handle:
+                return read_distribution_csv(handle)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(str(exc)) from exc
     reader = csv.reader(source)
     header = next(reader, None)
     if header is None or [h.strip() for h in header[:3]] != ["factor", "count", "freq"]:
-        raise ValueError('expected header "factor,count,freq"')
+        raise DataError('expected header "factor,count,freq"')
     support, counts, freq = [], [], []
     for row in reader:
         if not row:
@@ -144,16 +149,16 @@ def read_distribution_csv(source: str | Path | IO[str]) -> DistributionSeries:
         try:
             x, count, f = int(row[0]), int(row[1]), float(row[2])
         except (IndexError, ValueError):
-            raise ValueError(f"line {reader.line_num}: expected factor,count,freq, got {row}") from None
+            raise DataError(f"line {reader.line_num}: expected factor,count,freq, got {row}") from None
         if not 0.0 <= f < float("inf"):  # also rejects NaN
-            raise ValueError(f"line {reader.line_num}: freq must be finite and nonnegative, got {row[2]}")
+            raise DataError(f"line {reader.line_num}: freq must be finite and nonnegative, got {row[2]}")
         support.append(x)
         counts.append(count)
         freq.append(f)
     if not support:
-        raise ValueError("empty distribution")
+        raise DataError("empty distribution")
     if any(b <= a for a, b in zip(support, support[1:])):
-        raise ValueError("support must be strictly ascending")
+        raise DataError("support must be strictly ascending")
     return DistributionSeries(
         support=np.asarray(support, dtype=np.int64),
         counts=np.asarray(counts, dtype=np.int64),

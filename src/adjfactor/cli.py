@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error (unreadable or malformed
+input, an invalid parameter value, an unwritable output), 3 numeric failure.
+Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .census import census, read_distribution_csv, to_distribution, write_census_csv, write_distribution_csv
-from .graph import ParseError, average_clustering_coefficient, load_edge_list, write_edge_list
-from .growth import CalibrationError, GrowthConfig, calibrate_pt, generate_pa_tf
+from .graph import DataError, average_clustering_coefficient, load_edge_list, write_edge_list
+from .growth import CalibrationError, ConfigError, GrowthConfig, calibrate_pt, generate_pa_tf
 from .models import EMG, S_COMPLEX, FitError, fit
 from .pipeline import ExperimentConfig, run_experiment
 
@@ -207,15 +209,12 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else USAGE_ERROR
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (DataError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except (FitError, CalibrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_ERROR
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
 
 
 if __name__ == "__main__":

@@ -19,6 +19,10 @@ import numpy as np
 from .graph import Graph, mean_local_clustering
 
 
+class ConfigError(ValueError):
+    """A parameter value is out of range or inconsistent with the others."""
+
+
 class CalibrationError(RuntimeError):
     """Target clustering coefficient unreachable or not reached in budget."""
 
@@ -43,17 +47,17 @@ class GrowthConfig:
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+            raise ConfigError(f"m must be >= 1, got {self.m}")
         if self.n0 < self.m:
-            raise ValueError(f"n0 must be >= m, got n0={self.n0}, m={self.m}")
+            raise ConfigError(f"n0 must be >= m, got n0={self.n0}, m={self.m}")
         if self.n < self.n0:
-            raise ValueError(f"n must be >= n0, got n={self.n}, n0={self.n0}")
+            raise ConfigError(f"n must be >= n0, got n={self.n}, n0={self.n0}")
         if not 0.0 <= self.p_t <= 1.0:
-            raise ValueError(f"p_t must be in [0, 1], got {self.p_t}")
+            raise ConfigError(f"p_t must be in [0, 1], got {self.p_t}")
         if self.n0 < 3 and self.n > self.n0:
             # an edgeless/near-edgeless seed leaves degree-proportional
             # sampling undefined for incoming nodes
-            raise ValueError("growth from a seed of fewer than 3 nodes is not supported")
+            raise ConfigError("growth from a seed of fewer than 3 nodes is not supported")
 
     def seed_edge_count(self) -> int:
         if self.n0 >= 3:
@@ -150,7 +154,7 @@ def derive_growth_config(nodes: int, edges: int, seed: int = 0) -> GrowthConfig:
     coefficient and swap it in with dataclasses.replace.
     """
     if nodes < 1:
-        raise ValueError("nodes must be positive")
+        raise ConfigError("nodes must be positive")
     m = max(1, round(edges / nodes))
     n0 = max(m, 3)
     return GrowthConfig(n=max(nodes, n0), n0=n0, m=m, p_t=0.0, seed=seed)
@@ -189,9 +193,9 @@ def calibrate_pt(
     lists each probe's [p_t, pilot-mean CC] in probe order.
     """
     if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+        raise ConfigError("tolerance must be positive")
     if pilots < 1:
-        raise ValueError("pilots must be >= 1")
+        raise ConfigError("pilots must be >= 1")
     n0 = max(m, 3) if n0 is None else n0
     pilot_seeds = [derive_seed(seed, i) for i in range(pilots)]
     probes: list[list[float]] = []

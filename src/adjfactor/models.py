@@ -6,8 +6,15 @@ exponentially modified Gaussian for triangle-level ones. Fitting is
 derivative-free: an in-house bounded Nelder-Mead simplex runs from every start
 of a deterministic quasi-random grid at once, the starts advancing in lockstep
 so that each round scores all their trial points with one batched model call.
-Identical input always yields an identical result. scipy is used only for
-special functions.
+Identical input always yields an identical result.
+
+The EMG needs the scaled complementary error function erfcx(y) =
+exp(y^2)*erfc(y), which numpy lacks. It is computed here from a Chebyshev
+series in t = (y - 3)/(y + 3), fitted once to scipy.special.erfcx and kept
+below as constants; at import the series is cut into 2048 cubic pieces,
+chosen per point by index. Its relative error is below 3e-15 on [0, 1e300]
+and it gives exactly 0 at +inf. The module needs numpy alone, as the t-test's
+tail in `stats` needs only `math`.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
-from scipy import special
 
 from .census import DistributionSeries
 
@@ -27,6 +33,69 @@ EMG = "emg"
 PARAM_NAMES = {S_COMPLEX: ("a", "b", "c"), EMG: ("lam", "mu", "sigma")}
 
 _SQRT2 = math.sqrt(2.0)
+
+# Chebyshev coefficients, in t = (y - 3)/(y + 3), of (y + 3)*erfcx(y) for
+# y >= 0; t maps [0, inf] onto [-1, 1], where the product runs from 3 to
+# 1/sqrt(pi). A least-squares fit of degree 24 to scipy.special.erfcx at the
+# 4000 Chebyshev points of the first kind (tests/test_models.py refits it).
+_ERFCX_SERIES = (
+    1.4134382239808716,
+    -1.1314768490746971,
+    0.35410810034248663,
+    -0.0850870400990853,
+    0.01461527327281667,
+    -0.001379557163629622,
+    -6.429066714309525e-05,
+    3.9043421097917006e-05,
+    -2.642785074950067e-06,
+    -8.239440142908823e-07,
+    1.3247975694647532e-07,
+    1.9195225295538014e-08,
+    -5.0305070568260356e-09,
+    -5.842006768551512e-10,
+    1.8742328417206855e-10,
+    2.437380878426553e-11,
+    -6.990878088559005e-12,
+    -1.2573712874088343e-12,
+    2.456454754173449e-13,
+    6.992011371250027e-14,
+    -6.833908877849895e-15,
+    -3.900521868460638e-15,
+    -9.238049401767631e-17,
+    -4.2141365351659893e-17,
+    -3.3156981233724986e-17,
+)
+_ERFCX_PIECES = 2048
+
+
+def _erfcx_table() -> np.ndarray:
+    """Cubic pieces of the erfcx series, one per t-interval of width 2/2048.
+
+    Row j holds the coefficients of 1, u, u^2, u^3 of the cubic through the
+    series at 4 Chebyshev points of interval j, u running from 0 to 1 across
+    it. One extra row continues past t = 1, where y = inf lands at u = 0.
+    """
+    nodes = 0.5 - 0.5 * np.cos((np.arange(4) + 0.5) * (math.pi / 4))
+    t = 2.0 * (np.arange(_ERFCX_PIECES + 1)[:, None] + nodes) / _ERFCX_PIECES - 1.0
+    high = low = np.zeros_like(t)
+    for c in _ERFCX_SERIES[:0:-1]:  # Clenshaw's recurrence
+        high, low = c + 2.0 * t * high - low, high
+    values = _ERFCX_SERIES[0] + t * high - low
+    return np.linalg.solve(np.vander(nodes, 4, increasing=True), values.T).T
+
+
+_ERFCX_TABLE = _erfcx_table()
+
+
+def _erfcx(y: np.ndarray) -> np.ndarray:
+    """exp(y^2)*erfc(y) for y >= 0, within 3e-15 relative; 0 at +inf, NaN at NaN."""
+    r = 1.0 / (y + 3.0)
+    # 2048*(t + 1)/2: the piece index plus u; fmin sends NaN onto the last row
+    k = np.fmin(_ERFCX_PIECES - 3 * _ERFCX_PIECES * r, _ERFCX_PIECES)
+    j = k.astype(np.intp)
+    u = k - j
+    c = _ERFCX_TABLE[j]
+    return (((c[..., 3] * u + c[..., 2]) * u + c[..., 1]) * u + c[..., 0]) * r
 
 
 class FitError(RuntimeError):
@@ -57,11 +126,10 @@ def emg_model(x, lam, mu, sigma):
     """Exponentially modified Gaussian density.
 
     sigma=0 means the exponential limit lam*exp(-lam*(x-mu)) for x >= mu and
-    0 below. For sigma > 0 the left tail is evaluated through the scaled
-    complementary error function so the exponential factor cannot overflow.
-    The parameters may be (k, 1) columns, giving one row of values per
-    parameter set. A sigma so small that its square underflows yields NaN at
-    x == mu, without a warning.
+    0 below. For sigma > 0 the value is the pointwise one down to the
+    smallest sigma: at x == mu it tends to lam/2 as sigma tends to 0, with no
+    NaN or warning where sigma**2 underflows. The parameters may be (k, 1)
+    columns, giving one row of values per parameter set.
     """
     lam = np.asarray(lam, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -71,27 +139,45 @@ def emg_model(x, lam, mu, sigma):
     if (sigma < 0.0).any():
         raise ValueError("sigma must be nonnegative")
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    exponential = sigma == 0.0
-    some_exponential = exponential.any()
     # every branch is evaluated everywhere and np.where keeps the valid one,
     # so the discarded ones may overflow or divide by zero
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if some_exponential:
-            shifted = arr - mu
-            limit = np.where(shifted >= 0.0, lam * np.exp(-lam * np.maximum(shifted, 0.0)), 0.0)
-        if some_exponential and exponential.all():
-            out = limit
-        else:
-            half_lam = 0.5 * lam
-            arg = (mu + lam * sigma * sigma - arr) / (_SQRT2 * sigma)
-            left = half_lam * np.exp(-((arr - mu) ** 2) / (2.0 * sigma * sigma)) * special.erfcx(arg)
-            right = (
-                half_lam * np.exp(lam * (mu - arr) + 0.5 * lam * lam * sigma * sigma) * special.erfc(arg)
-            )
-            out = np.where(arg >= 0.0, left, right)
-            if some_exponential:
-                out = np.where(exponential, limit, out)
+        out = _emg(arr, lam, mu, sigma)
     return float(out[0]) if np.ndim(x) == 0 and out.shape == (1,) else out
+
+
+def _emg(x, lam, mu, sigma):
+    """`emg_model` without its checks or its silencing of numpy warnings."""
+    if sigma.all():
+        return _emg_gaussian(x, lam, mu, sigma)
+    limit = _emg_exponential(x, lam, mu)
+    if not sigma.any():
+        return limit
+    return np.where(sigma == 0.0, limit, _emg_gaussian(x, lam, mu, sigma))
+
+
+def _emg_exponential(x, lam, mu):
+    """The sigma=0 member: lam*exp(-lam*(x-mu)) for x >= mu and 0 below."""
+    d = x - mu
+    return np.where(d >= 0.0, lam * np.exp(-lam * d), 0.0)
+
+
+def _emg_gaussian(x, lam, mu, sigma):
+    """The members with sigma > 0, through one erfcx call.
+
+    With z = (x-mu)/sigma and arg = (lam*sigma - z)/sqrt(2), the density is
+    h = lam/2*exp(-z^2/2)*erfcx(arg) for arg >= 0. For arg < 0, where erfcx
+    could overflow, erfc(arg) = 2 - exp(-arg^2)*erfcx(-arg) turns it into
+    lam*exp(lam^2 sigma^2/2 - lam*(x-mu)) - h, h now taken at |arg|. There
+    that exponential is at most 1 and h at most half the first term, so
+    nothing overflows or cancels. The Gaussian factor comes from z, so it is
+    1 at x == mu however small sigma is.
+    """
+    d = x - mu
+    half_z = d / (sigma * _SQRT2)
+    arg = lam * sigma / _SQRT2 - half_z
+    h = 0.5 * lam * np.exp(-(half_z * half_z)) * _erfcx(np.abs(arg))
+    return np.where(arg < 0.0, lam * np.exp(0.5 * (lam * sigma) ** 2 - lam * d) - h, h)
 
 
 @dataclass
@@ -358,6 +444,8 @@ def fit(
         raise FitError(
             f"need at least 4 support points to fit {model}, have {len(x)}"
         )
+    if not (observed > 0.0).any():
+        raise FitError(f"no positive frequency on the support to fit {model}")
 
     if model == S_COMPLEX:
         bounds = [(0.0, 3.0), (1e-8, 2.0), (1e-8, 1.0)]
@@ -372,16 +460,18 @@ def fit(
         x_max = float(x.max())
 
         def score(p: np.ndarray) -> np.ndarray:
-            return _sse(emg_model(x, p[:, 0:1], p[:, 1:2], p[:, 2:3]), observed)
+            return _sse(_emg(x, p[:, 0:1], p[:, 1:2], p[:, 2:3]), observed)
 
-        best = _multistart_simplex(score, [(1e-6, 5.0), (0.0, x_max), (0.0, x_max)], n_starts)
         # degenerate sigma=0 family: the pointwise sigma->0 limit differs from
         # the sigma=0 convention at x=mu, so the boundary must be probed
         # explicitly or exponential-shaped series cannot be fitted exactly
         def score_exp(p: np.ndarray) -> np.ndarray:
-            return _sse(emg_model(x, p[:, 0:1], p[:, 1:2], 0.0), observed)
+            return _sse(_emg_exponential(x, p[:, 0:1], p[:, 1:2]), observed)
 
-        pinned = _multistart_simplex(score_exp, [(1e-6, 5.0), (0.0, x_max)], n_starts)
+        # trial points may sit where the model's discarded branches overflow
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            best = _multistart_simplex(score, [(1e-6, 5.0), (0.0, x_max), (0.0, x_max)], n_starts)
+            pinned = _multistart_simplex(score_exp, [(1e-6, 5.0), (0.0, x_max)], n_starts)
         if _beats(pinned.fun, best.fun):
             values = [*pinned.x, 0.0]
             best = pinned

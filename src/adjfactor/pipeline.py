@@ -30,6 +30,7 @@ from .census import census, to_distribution, write_distribution_csv
 from .graph import DataError, Graph, load_edge_list, average_clustering_coefficient, write_edge_list
 from .growth import (
     CalibrationError,
+    ConfigError,
     GrowthConfig,
     calibrate_pt,
     derive_growth_config,
@@ -65,13 +66,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
+            raise ConfigError("replicas must be >= 1")
         if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise ConfigError("workers must be >= 1")
         if self.calibration_tolerance <= 0:
-            raise ValueError("calibration_tolerance must be positive")
+            raise ConfigError("calibration_tolerance must be positive")
         if self.calibration_pilots < 1:
-            raise ValueError("calibration_pilots must be >= 1")
+            raise ConfigError("calibration_pilots must be >= 1")
         self.out_dir = Path(self.out_dir)
 
     def echo(self) -> dict:

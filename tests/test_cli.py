@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import adjfactor
+from adjfactor import cli
 from adjfactor.cli import main
 from helpers import complete_graph, cycle_graph
 
@@ -169,6 +175,31 @@ class TestFit:
         err = capsys.readouterr().err
         assert f"error: line {line}: freq must be finite and nonnegative" in err
 
+    @pytest.mark.parametrize("content", [None, b"factor,count,freq\n1,1,\xff\n"], ids=["missing", "not-utf8"])
+    def test_unreadable_csv_is_data_error(self, tmp_path, capsys, content):
+        path = tmp_path / "series.csv"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["fit", str(path), "--model", "s"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_no_positive_frequency_is_numeric_failure(self, tmp_path, capsys):
+        path = tmp_path / "zero.csv"
+        path.write_text("factor,count,freq\n0,4,1.0\n1,0,0.0\n2,0,0.0\n3,0,0.0\n4,0,0.0\n")
+        assert main(["fit", str(path), "--model", "s"]) == 3
+        assert "no positive frequency" in capsys.readouterr().err
+
+    def test_bug_propagates(self, tmp_path, monkeypatch):
+        path = tmp_path / "series.csv"
+        path.write_text("factor,count,freq\n1,1,0.4\n2,1,0.3\n3,1,0.2\n4,1,0.1\n")
+
+        def broken(*args, **kwargs):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr(cli, "fit", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["fit", str(path), "--model", "s"])
+
 
 class TestUsage:
     def test_unknown_command(self):
@@ -191,3 +222,20 @@ def test_experiment_cli_smoke(synthetic_input, tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["networks"][0]["status"] == "ok"
     assert (out / "table1.csv").exists() and (out / "table2.csv").exists()
+
+
+def test_experiment_runs_with_scipy_blocked(synthetic_input, experiment_run, tmp_path):
+    # the determinism fixture's run, in a fresh interpreter that cannot import scipy
+    out = tmp_path / "run"
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+from adjfactor import cli
+sys.exit(cli.main(["experiment", {str(synthetic_input)!r}, "--out", {str(out)!r}, "--replicas", "3",
+                   "--seed", "5", "--pilots", "3", "--tolerance", "0.02"]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(adjfactor.__file__).resolve().parent.parent))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    _, shared_out, _ = experiment_run
+    assert (out / "report.json").read_bytes() == (shared_out / "report.json").read_bytes()

@@ -392,7 +392,7 @@ class TestBatchedModels:
             [0.43, 0.0, 0.0],
             [1.2, mu, 0.0],
             [0.07, 10.86, 5.06],
-            [2.0, mu, 1e-170],  # sigma**2 underflows: NaN at x == mu
+            [2.0, mu, 1e-170],  # sigma**2 underflows
             [0.3, mu, 5e-324],
             [4.9, 1.0, 0.4],  # crossover mu + lam*sigma**2 between support points
             [1e-6, 60.0, 60.0],
@@ -400,7 +400,10 @@ class TestBatchedModels:
         batched = emg_model(x, rows[:, 0:1], rows[:, 1:2], rows[:, 2:3])
         separate = np.stack([emg_model(x, *row) for row in rows])
         assert batched.shape == (len(rows), len(x))
-        assert np.isnan(separate[4, 3])
+        assert not np.isnan(batched).any()
+        # the pointwise sigma -> 0 limit lam/2 at x == mu
+        assert separate[4, 3] == pytest.approx(1.0, rel=1e-14, abs=0.0)
+        assert separate[5, 3] == pytest.approx(0.15, rel=1e-14, abs=0.0)
         lam, mu_6, sigma = rows[6]
         arg = (mu_6 + lam * sigma * sigma - x) / (math.sqrt(2.0) * sigma)
         assert (arg >= 0).any() and (arg < 0).any()
@@ -409,18 +412,21 @@ class TestBatchedModels:
         assert np.array_equal(pinned, np.stack([emg_model(x, lam, m, 0.0) for lam, m, _ in rows]))
 
     def test_emg_equals_masked_branch_reference(self):
-        # each branch evaluated only on its own points, with the same operations
+        # each branch evaluated only on its own points with scipy's erfcx and
+        # erfc; the Gaussian factor is taken from z = (x - mu)/sigma
         x = np.array([0.0, 1.0, 2.0, 3.0, 3.5, 4.0, 6.0, 9.0, 20.0, 60.0, 400.0])
         for lam, mu, sigma in [(0.5, 3.0, 2.0), (0.07, 10.86, 5.06), (4.9, 1.0, 0.4), (2.0, 3.0, 1e-170)]:
             arg = (mu + lam * sigma * sigma - x) / (math.sqrt(2.0) * sigma)
             left = arg >= 0.0
             expected = np.empty_like(x)
             with np.errstate(all="ignore"):
-                gauss = np.exp(-((x[left] - mu) ** 2) / (2.0 * sigma * sigma))
+                gauss = np.exp(-0.5 * ((x[left] - mu) / sigma) ** 2)
                 expected[left] = 0.5 * lam * gauss * special.erfcx(arg[left])
                 tail = np.exp(lam * (mu - x[~left]) + 0.5 * lam * lam * sigma * sigma)
                 expected[~left] = 0.5 * lam * tail * special.erfc(arg[~left])
-            assert np.array_equal(emg_model(x, lam, mu, sigma), expected, equal_nan=True)
+            actual = emg_model(x, lam, mu, sigma)
+            assert not np.isnan(expected).any()
+            assert np.allclose(actual, expected, rtol=1e-12, atol=1e-250)
 
     def test_s_complex_columns_equal_rows(self):
         x = np.array([1.0, 2.0, 3.0, 10.0, 57.0, 1000.0])
@@ -446,15 +452,69 @@ class TestQuietFits:
         assert np.isfinite(result.param_vector()).all()
         assert result.sse < 0.01
 
-    def test_underflowing_sigma_is_nan_at_mu_without_warning(self):
+    @pytest.mark.parametrize("sigma", [1e-170, 5e-324])
+    def test_underflowing_sigma_is_half_lam_at_mu_without_warning(self, sigma):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            values = emg_model(np.array([1.0, 2.0, 3.0]), 2.0, 2.0, 1e-170)
-        assert np.isnan(values[1])
+            values = emg_model(np.array([1.0, 2.0, 3.0]), 2.0, 2.0, sigma)
+        assert values[0] == 0.0
+        assert values[1:] == pytest.approx([1.0, 2.0 * math.exp(-2.0)], rel=1e-14, abs=0.0)
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    code = "import sys, adjfactor, adjfactor.cli; print('scipy.optimize' in sys.modules)"
+    # no scipy module at all after both fits and a t-test
+    code = """
+import sys
+import numpy as np
+import adjfactor, adjfactor.cli
+from adjfactor.census import DistributionSeries
+x = np.arange(1, 30)
+series = DistributionSeries(support=x, counts=np.ones_like(x), freq=adjfactor.emg_model(x, 0.3, 4.0, 2.0))
+adjfactor.fit("s_complex", series)
+adjfactor.fit("emg", series)
+adjfactor.one_sample_t_test([1.0, 2.0, 4.0], 0.0)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
     env = dict(os.environ, PYTHONPATH=str(Path(adjfactor.__file__).resolve().parent.parent))
     output = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert output.stdout.strip() == "False"
+    assert output.stdout.strip() == "[]"
+
+
+def _fit_erfcx_series(degree: int = 24, points: int = 4000) -> np.ndarray:
+    """The fit behind models._ERFCX_SERIES: least squares at Chebyshev points of the first kind."""
+    t = np.cos((np.arange(points) + 0.5) * math.pi / points)
+    y = 3.0 * (1.0 + t) / (1.0 - t)
+    return np.polynomial.chebyshev.chebfit(t, (y + 3.0) * special.erfcx(y), degree)
+
+
+class TestErfcx:
+    """The in-house erfcx against scipy.special.erfcx, its reference."""
+
+    def test_series_refits_from_scipy(self):
+        assert np.allclose(_fit_erfcx_series(), models._ERFCX_SERIES, rtol=0.0, atol=1e-15)
+
+    def test_matches_scipy_on_dense_grid(self):
+        tiny = np.finfo(float).tiny
+        # the t-interval's ends are y = 0 and y = inf, and its 2048 pieces
+        # meet where 2048*(t + 1)/2 is an integer
+        t_knots = np.arange(1, models._ERFCX_PIECES) * (2.0 / models._ERFCX_PIECES) - 1.0
+        knots = 3.0 * (1.0 + t_knots) / (1.0 - t_knots)
+        y = np.concatenate([
+            [0.0, 5e-324, 1e-320, tiny / 2, tiny, 1e-300, 1e-17, 1e-8],  # 0 and subnormals
+            np.nextafter(knots, 0.0), knots, np.nextafter(knots, np.inf),
+            np.linspace(0.0, 1e-6, 1001),  # the EMG switches branch where the argument is 0
+            np.linspace(0.0, 60.0, 200_001),
+            np.geomspace(1e-300, 1e300, 200_001),
+            [1e300, np.finfo(float).max],
+        ])
+        expected = special.erfcx(y)
+        assert (expected > 0).all()
+        assert np.abs(models._erfcx(y) / expected - 1.0).max() <= 1e-13
+
+    def test_infinity_and_nan(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values = models._erfcx(np.array([np.inf, np.nan, 0.0]))
+        assert values[0] == 0.0
+        assert np.isnan(values[1])
+        assert values[2] == pytest.approx(1.0, rel=1e-15, abs=0.0)

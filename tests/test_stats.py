@@ -4,6 +4,15 @@ import numpy as np
 import pytest
 
 from adjfactor import one_sample_t_test, student_t_cdf
+from adjfactor.stats import _two_sided_tail
+
+
+def scipy_two_sided_tail(t: float, df: int) -> float:
+    """I_x(df/2, 1/2) at x = df/(df + t^2) from scipy, through whichever of
+    x and 1 - x carries full precision."""
+    special = pytest.importorskip("scipy.special")
+    x, y = df / (df + t * t), t * t / (df + t * t)
+    return float(special.betainc(df / 2, 0.5, x) if x < 0.5 else special.betaincc(0.5, df / 2, y))
 
 
 def bisect_critical_t(df: int, upper_tail: float, low=0.0, high=50.0) -> float:
@@ -62,6 +71,23 @@ class TestStudentTCdf:
     def test_invalid_df(self):
         with pytest.raises(ValueError):
             student_t_cdf(1.0, 0)
+        with pytest.raises(ValueError):
+            student_t_cdf(1.0, 2.5)
+
+
+class TestTwoSidedTail:
+    def test_against_scipy_betainc(self):
+        worst = 0.0
+        for df in range(1, 61):
+            for t in np.geomspace(1e-3, 1e4, 121):
+                expected = scipy_two_sided_tail(float(t), df)
+                worst = max(worst, abs(_two_sided_tail(float(t), df) / expected - 1.0))
+                assert _two_sided_tail(float(-t), df) == _two_sided_tail(float(t), df)
+        assert worst <= 1e-12
+
+    def test_zero_t(self):
+        for df in (1, 2, 9, 60):
+            assert _two_sided_tail(0.0, df) == 1.0
 
 
 class TestOneSampleTTest:
@@ -127,6 +153,16 @@ class TestOneSampleTTest:
         barely_out = one_sample_t_test(synth(critical * 0.98), 0.0)
         assert barely_in.significant_at_99
         assert not barely_out.significant_at_99
+
+    @pytest.mark.parametrize("t, n", [(50.0, 10), (400.0, 4), (1e3, 30)])
+    def test_tiny_p_value_is_a_direct_tail(self, t, n):
+        # p is not 2*(1 - cdf), which cancels once the tail is this small
+        half = math.sqrt((n - 1) / n)  # sample sd 1
+        mean = t / math.sqrt(n)
+        result = one_sample_t_test([mean - half] * (n // 2) + [mean + half] * (n - n // 2), 0.0)
+        expected = scipy_two_sided_tail(result.t_stat, result.df)
+        assert result.t_stat == pytest.approx(t, rel=1e-9)
+        assert result.p_value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_result_dict_serializes_inf(self):
         payload = one_sample_t_test([1.0, 1.0], 0.0).to_dict()
