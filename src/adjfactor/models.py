@@ -6,15 +6,19 @@ exponentially modified Gaussian for triangle-level ones. Fitting is
 derivative-free: an in-house bounded Nelder-Mead simplex runs from every start
 of a deterministic quasi-random grid at once, the starts advancing in lockstep
 so that each round scores all their trial points with one batched model call.
+Each run is still scipy's Nelder-Mead step for step; ordering its vertices
+takes a `sorted()` path only for distinct values without NaN, whose ascending
+order is unique, and leaves ties and NaN to np.argsort as scipy does.
 Identical input always yields an identical result.
 
 The EMG needs the scaled complementary error function erfcx(y) =
 exp(y^2)*erfc(y), which numpy lacks. It is computed here from a Chebyshev
 series in t = (y - 3)/(y + 3), fitted once to scipy.special.erfcx and kept
 below as constants; at import the series is cut into 2048 cubic pieces,
-chosen per point by index. Its relative error is below 3e-15 on [0, 1e300]
-and it gives exactly 0 at +inf. The module needs numpy alone, as the t-test's
-tail in `stats` needs only `math`.
+kept as four contiguous coefficient rows and chosen per point by index. Its
+relative error is below 3e-15 on [0, 1e300] and it gives exactly 0 at +inf.
+The module needs numpy alone, as the t-test's tail in `stats` needs only
+`math`.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from operator import add
 from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
@@ -71,9 +76,11 @@ _ERFCX_PIECES = 2048
 def _erfcx_table() -> np.ndarray:
     """Cubic pieces of the erfcx series, one per t-interval of width 2/2048.
 
-    Row j holds the coefficients of 1, u, u^2, u^3 of the cubic through the
-    series at 4 Chebyshev points of interval j, u running from 0 to 1 across
-    it. One extra row continues past t = 1, where y = inf lands at u = 0.
+    Column j of rows 0-3 holds the coefficients of 1, u, u^2, u^3 of the
+    cubic through the series at 4 Chebyshev points of interval j, u running
+    from 0 to 1 across it. One extra column continues past t = 1, where
+    y = inf lands at u = 0. Rows are contiguous, so one `take` gathers
+    each point's four coefficients into four contiguous arrays.
     """
     nodes = 0.5 - 0.5 * np.cos((np.arange(4) + 0.5) * (math.pi / 4))
     t = 2.0 * (np.arange(_ERFCX_PIECES + 1)[:, None] + nodes) / _ERFCX_PIECES - 1.0
@@ -81,7 +88,7 @@ def _erfcx_table() -> np.ndarray:
     for c in _ERFCX_SERIES[:0:-1]:  # Clenshaw's recurrence
         high, low = c + 2.0 * t * high - low, high
     values = _ERFCX_SERIES[0] + t * high - low
-    return np.linalg.solve(np.vander(nodes, 4, increasing=True), values.T).T
+    return np.ascontiguousarray(np.linalg.solve(np.vander(nodes, 4, increasing=True), values.T))
 
 
 _ERFCX_TABLE = _erfcx_table()
@@ -90,12 +97,11 @@ _ERFCX_TABLE = _erfcx_table()
 def _erfcx(y: np.ndarray) -> np.ndarray:
     """exp(y^2)*erfc(y) for y >= 0, within 3e-15 relative; 0 at +inf, NaN at NaN."""
     r = 1.0 / (y + 3.0)
-    # 2048*(t + 1)/2: the piece index plus u; fmin sends NaN onto the last row
+    # 2048*(t + 1)/2: the piece index plus u; fmin sends NaN onto the last column
     k = np.fmin(_ERFCX_PIECES - 3 * _ERFCX_PIECES * r, _ERFCX_PIECES)
-    j = k.astype(np.intp)
-    u = k - j
-    c = _ERFCX_TABLE[j]
-    return (((c[..., 3] * u + c[..., 2]) * u + c[..., 1]) * u + c[..., 0]) * r
+    u, whole = np.modf(k)
+    c0, c1, c2, c3 = _ERFCX_TABLE.take(whole.astype(np.intp), axis=1)
+    return (((c3 * u + c2) * u + c1) * u + c0) * r
 
 
 class FitError(RuntimeError):
@@ -229,10 +235,7 @@ class SimplexResult(NamedTuple):
     fun: float
     nfev: int
     success: bool
-
-
-class _Exhausted(Exception):
-    """A run asked for more than maxfev evaluations; args[0] holds the values it got."""
+    final_simplex: tuple[list[list[float]], list[float]]  # vertices and values, best first
 
 
 def _clip(point, low, high) -> list[float]:
@@ -241,18 +244,42 @@ def _clip(point, low, high) -> list[float]:
 
 
 def _along(xbar, worst, a: float, b: float, low, high) -> list[float]:
-    """The clipped point a*xbar - b*worst on the line through the centroid and the worst vertex."""
-    return _clip([a * c - b * w for c, w in zip(xbar, worst)], low, high)
+    """The point a*xbar - b*worst on the line through the centroid and the worst vertex, clipped.
+
+    A coordinate strictly inside its bounds is kept as it is, which is what
+    `_clip` gives it; any other goes through `_clip`'s min/max.
+    """
+    return [
+        v if lo < (v := a * c - b * w) < hi else min(hi, max(lo, v))
+        for c, w, lo, hi in zip(xbar, worst, low, high)
+    ]
+
+
+def _centroid(rows: list) -> list[float]:
+    """Mean of the rows, each column added left to right from its first element.
+
+    That is np.add.reduce's order on these few rows. The builtin sum is not
+    used: from Python 3.12 on it compensates its rounding.
+    """
+    total = rows[0]
+    for row in rows[1:]:
+        total = map(add, total, row)
+    return [t / len(rows) for t in total]
 
 
 def _order(sim: list, fsim: list[float]) -> tuple[list, list[float]]:
-    """Vertices sorted by value exactly as scipy orders them, with np.argsort.
+    """Vertices sorted by value exactly as scipy orders them with np.argsort.
 
-    Its sort is not stable on ties and places NaN last, so no other sort can
-    stand in for it.
+    Distinct values without NaN have exactly one ascending order, so `sorted`
+    finds it. np.argsort's sort is not stable on ties (-0.0 and 0.0 tie) and
+    places NaN last, so such values go to np.argsort itself.
     """
-    order = np.argsort(np.array(fsim)).tolist()
-    return [sim[i] for i in order], [fsim[i] for i in order]
+    values = sorted(fsim)
+    for low, high in zip(values, values[1:]):
+        if not low < high:
+            order = np.argsort(np.array(fsim)).tolist()
+            return [sim[i] for i in order], [fsim[i] for i in order]
+    return [sim[fsim.index(v)] for v in values], values
 
 
 def _nelder_mead(
@@ -269,23 +296,13 @@ def _nelder_mead(
     with finite bounds: the same initial simplex (reflected into the bounds),
     the same clipped reflect/expand/contract/shrink points, the same
     arithmetic and vertex order and the same stopping tests, so it returns
-    bit for bit the x, fun, nfev and success that scipy.optimize.minimize
-    returns for method="Nelder-Mead". Points that scipy evaluates one after
-    another without a decision in between (the initial simplex, a shrink) are
-    yielded together; a list is cut short where scipy would hit maxfev.
+    bit for bit the x, fun, nfev, success and final simplex that
+    scipy.optimize.minimize returns for method="Nelder-Mead". Points that
+    scipy evaluates one after another without a decision in between (the
+    initial simplex, a shrink) are yielded together; a list is cut short
+    where scipy would hit maxfev, and a point it cannot score ends the search.
     """
     n = len(x0)
-    nfev = 0
-
-    def score(points):
-        nonlocal nfev
-        allowed = points[: maxfev - nfev]
-        values = (yield allowed) if allowed else []
-        nfev += len(values)
-        if len(values) < len(points):
-            raise _Exhausted(values)
-        return values
-
     x0 = _clip(x0, low, high)
     sim = [x0]
     for k in range(n):
@@ -294,60 +311,58 @@ def _nelder_mead(
         sim.append(vertex)
     # a vertex pushed past an upper bound is reflected inside, not flattened onto it
     sim = [_clip([2 * hi - v if v > hi else v for v, hi in zip(row, high)], low, high) for row in sim]
-    try:
-        fsim = yield from score(sim)
-    except _Exhausted as stop:
-        fsim = stop.args[0] + [math.inf] * (n + 1 - len(stop.args[0]))
-    sim, fsim = _order(*_order(sim, fsim))
+    fsim = (yield sim[:maxfev]) if maxfev > 0 else []
+    nfev = len(fsim)
+    # scipy starts from all-inf values: a vertex it could not score keeps inf
+    sim, fsim = _order(*_order(sim, fsim + [math.inf] * (n + 1 - nfev)))
 
     while nfev < maxfev:
-        try:
-            best, f_best = sim[0], fsim[0]
-            if all(abs(f_best - f) <= fatol for f in fsim[1:]) and all(
-                abs(v - b) <= xatol for row in sim[1:] for v, b in zip(row, best)
-            ):
+        best, f_best = sim[0], fsim[0]
+        for f in fsim[1:]:
+            if not abs(f_best - f) <= fatol:
                 break
-            xbar = [sum(column) / n for column in zip(*sim[:-1])]
-            worst = sim[-1]
-            # reflect, expand and contract with scipy's rho=1, chi=2, psi=0.5
-            xr = _along(xbar, worst, 2, 1, low, high)
-            (fxr,) = yield from score([xr])
-            if fxr < fsim[0]:
+        else:
+            if all(abs(v - b) <= xatol for row in sim[1:] for v, b in zip(row, best)):
+                break
+        xbar = _centroid(sim[:-1])
+        worst = sim[-1]
+        # reflect, expand and contract with scipy's rho=1, chi=2, psi=0.5; a
+        # point past maxfev is not scored and ends the search, simplex as it was
+        xr = _along(xbar, worst, 2, 1, low, high)
+        (fxr,) = yield [xr]
+        nfev += 1
+        if fxr < fsim[0]:
+            if nfev < maxfev:
                 xe = _along(xbar, worst, 3, 2, low, high)
-                (fxe,) = yield from score([xe])
+                (fxe,) = yield [xe]
+                nfev += 1
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif nfev < maxfev:
+            if fxr < fsim[-1]:
+                xc = _along(xbar, worst, 1.5, 0.5, low, high)
+                (fxc,) = yield [xc]
+                shrink = not fxc <= fxr
+                candidate = (xc, fxc)
             else:
-                if fxr < fsim[-1]:
-                    xc = _along(xbar, worst, 1.5, 0.5, low, high)
-                    (fxc,) = yield from score([xc])
-                    shrink = not fxc <= fxr
-                    candidate = (xc, fxc)
-                else:
-                    xcc = _along(xbar, worst, 0.5, -0.5, low, high)
-                    (fxcc,) = yield from score([xcc])
-                    shrink = not fxcc < fsim[-1]
-                    candidate = (xcc, fxcc)
-                if not shrink:
-                    sim[-1], fsim[-1] = candidate
-                else:
-                    shrunk = [
-                        _clip([b + 0.5 * (v - b) for b, v in zip(best, row)], low, high) for row in sim[1:]
-                    ]
-                    try:
-                        fsim[1:] = yield from score(shrunk)
-                        sim[1:] = shrunk
-                    except _Exhausted as stop:
-                        # scipy moves a vertex before scoring it: the one it
-                        # could not score has moved but keeps its old value
-                        got = len(stop.args[0])
-                        sim[1 : got + 2] = shrunk[: got + 1]
-                        fsim[1 : got + 1] = stop.args[0]
-        except _Exhausted:
-            pass
+                xcc = _along(xbar, worst, 0.5, -0.5, low, high)
+                (fxcc,) = yield [xcc]
+                shrink = not fxcc < fsim[-1]
+                candidate = (xcc, fxcc)
+            nfev += 1
+            if not shrink:
+                sim[-1], fsim[-1] = candidate
+            else:
+                shrunk = [_clip([b + 0.5 * (v - b) for b, v in zip(best, row)], low, high) for row in sim[1:]]
+                values = (yield shrunk[: maxfev - nfev]) if nfev < maxfev else []
+                nfev += len(values)
+                # scipy moves a vertex before scoring it: the one it could not
+                # score has moved but keeps its old value
+                sim[1 : len(values) + 2] = shrunk[: len(values) + 1]
+                fsim[1 : len(values) + 1] = values
         sim, fsim = _order(sim, fsim)
-    return SimplexResult(sim[0], float(np.min(fsim)), nfev, nfev < maxfev)
+    return SimplexResult(sim[0], float(np.min(fsim)), nfev, nfev < maxfev, (sim, fsim))
 
 
 def _lockstep(
@@ -362,30 +377,29 @@ def _lockstep(
 
     Every round stacks the pending trial points of all live runs into one
     (k, d) array and scores them with a single call of `score`, which returns
-    the k objective values.
+    the k objective values; each run reads its own by offset.
     """
     low = [float(b[0]) for b in bounds]
     high = [float(b[1]) for b in bounds]
-    runs = [_nelder_mead(x0, low, high, xatol, fatol, maxfev) for x0 in starts]
-    results: list[SimplexResult | None] = [None] * len(runs)
-    pending: dict[int, list[list[float]]] = {}
-
-    def advance(i: int, values: list[float] | None) -> None:
+    results: list[SimplexResult | None] = [None] * len(starts)
+    live = []  # (index, run, pending points) of each run not yet finished
+    for i, x0 in enumerate(starts):
+        run = _nelder_mead(x0, low, high, xatol, fatol, maxfev)
         try:
-            pending[i] = runs[i].send(values)
+            live.append((i, run, next(run)))
         except StopIteration as stop:
             results[i] = stop.value
-            pending.pop(i, None)
-
-    for i in range(len(runs)):
-        advance(i, None)
-    while pending:
-        live = list(pending)
-        values = score(np.array([point for i in live for point in pending[i]])).tolist()
-        for i in live:
-            count = len(pending[i])
-            advance(i, values[:count])
-            del values[:count]
+    while live:
+        values = score(np.array([point for _, _, pending in live for point in pending])).tolist()
+        still = []
+        end = 0
+        for i, run, pending in live:
+            start, end = end, end + len(pending)
+            try:
+                still.append((i, run, run.send(values[start:end])))
+            except StopIteration as stop:
+                results[i] = stop.value
+        live = still
     return results
 
 

@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from adjfactor import Graph, IngestReport, ParseError
+from adjfactor import Graph, IngestReport, ParseError, models
 
 
 def complete_graph(n: int) -> Graph:
@@ -122,3 +122,38 @@ def series_erfc(x: float) -> float:
         total += term
         n += 1
     return 1.0 - 2.0 / math.sqrt(math.pi) * total
+
+
+def reference_erfcx(y: np.ndarray) -> np.ndarray:
+    """erfcx from models' committed cubic pieces, evaluated row by row.
+
+    Each point gathers its piece's row of 4 coefficients, takes u = k - j
+    with the integer index j, and runs Horner on the row's columns.
+    """
+    rows = models._ERFCX_TABLE.T
+    pieces = models._ERFCX_PIECES
+    r = 1.0 / (y + 3.0)
+    k = np.fmin(pieces - 3 * pieces * r, pieces)
+    j = k.astype(np.intp)
+    u = k - j
+    c = rows[j]
+    return (((c[..., 3] * u + c[..., 2]) * u + c[..., 1]) * u + c[..., 0]) * r
+
+
+def reference_emg(x: np.ndarray, lam: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """The EMG for (k, 1) parameter columns: both families everywhere, then a mask.
+
+    sigma=0 rows take lam*exp(-lam*(x-mu)) for x >= mu and 0 below; the
+    others take the Gaussian form with reference_erfcx, switching to
+    erfc(arg) = 2 - exp(-arg^2)*erfcx(-arg) where arg = (lam*sigma - z)/sqrt(2)
+    is negative.
+    """
+    root2 = math.sqrt(2.0)
+    with np.errstate(all="ignore"):
+        d = x - mu
+        limit = np.where(d >= 0.0, lam * np.exp(-lam * d), 0.0)
+        half_z = d / (sigma * root2)
+        arg = lam * sigma / root2 - half_z
+        h = 0.5 * lam * np.exp(-(half_z * half_z)) * reference_erfcx(np.abs(arg))
+        gaussian = np.where(arg < 0.0, lam * np.exp(0.5 * (lam * sigma) ** 2 - lam * d) - h, h)
+    return np.where(sigma == 0.0, limit, gaussian)

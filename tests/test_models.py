@@ -24,7 +24,7 @@ from adjfactor import (
     s_complex_model,
 )
 from adjfactor.census import DistributionSeries
-from helpers import series_erfc
+from helpers import reference_emg, reference_erfcx, series_erfc
 
 TABLE_S_PARAMS = [
     (0.25, 0.75, 0.19),
@@ -319,6 +319,9 @@ def _assert_same_as_scipy(result, expected):
     assert np.float64(result.fun).tobytes() == np.float64(expected.fun).tobytes()
     assert result.nfev == expected.nfev
     assert result.success == expected.success
+    simplex, values = result.final_simplex
+    assert np.array(simplex).tobytes() == expected.final_simplex[0].tobytes()
+    assert np.array(values).tobytes() == expected.final_simplex[1].tobytes()
 
 
 class TestSimplexOracle:
@@ -336,6 +339,21 @@ class TestSimplexOracle:
         (result,) = models._lockstep(_batched(objective), [start], bounds, xatol, fatol, maxfev)
         _assert_same_as_scipy(result, expected)
 
+    @pytest.mark.parametrize("case", [c for c in ORACLE_CASES if c[6] == 4000], ids=lambda c: c[0])
+    def test_every_maxfev_cut_matches_scipy(self, case):
+        # a budget that runs out in the initial simplex, at an expansion, a
+        # contraction or inside a shrink ends the search where scipy ends it
+        _, objective, start, bounds, xatol, fatol, _ = case
+        for maxfev in range(41):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                expected = minimize(
+                    objective, np.array(start), method="Nelder-Mead", bounds=bounds,
+                    options={"xatol": xatol, "fatol": fatol, "maxfev": maxfev},
+                )
+            (result,) = models._lockstep(_batched(objective), [start], bounds, xatol, fatol, maxfev)
+            _assert_same_as_scipy(result, expected)
+
     def test_lockstep_runs_match_separate_runs(self):
         bounds = [(-2.0, 2.0), (-1.0, 3.0)]
         starts = [[-1.2, 1.0], [2.0, 3.0], [0.0, 0.0], [1.5, -1.0]]
@@ -345,6 +363,63 @@ class TestSimplexOracle:
                 _rosenbrock, np.array(start), method="Nelder-Mead", bounds=bounds,
                 options={"xatol": 1e-10, "fatol": 1e-14, "maxfev": 4000},
             )
+            _assert_same_as_scipy(result, expected)
+
+
+class TestCentroid:
+    def test_adds_left_to_right_like_numpy(self):
+        # compensated summation (the builtin sum from Python 3.12) gives 1/3
+        rows = [[1e16, 2.0], [1.0, 3.0], [-1e16, 4.0]]
+        expected = np.add.reduce(np.array(rows), 0) / 3
+        assert np.array(models._centroid(rows)).tobytes() == expected.tobytes()
+        assert models._centroid(rows)[0] == 0.0
+
+    def test_random_rows_match_numpy(self):
+        rng = np.random.default_rng(3)
+        for count in (2, 3):
+            for rows in rng.standard_normal((2000, count, 3)) * 10.0 ** rng.integers(-3, 17, (2000, count, 1)):
+                expected = np.add.reduce(rows, 0) / count
+                assert np.array(models._centroid(rows.tolist())).tobytes() == expected.tobytes()
+
+
+@pytest.fixture(scope="module")
+def fixture_objectives(synthetic_input):
+    """Each multistart search of both fits on the determinism fixture's input.
+
+    Family name -> (score, starts, bounds, results), recorded from the first
+    `_lockstep` call of each `_multistart_simplex`.
+    """
+    graph, _ = adjfactor.load_edge_list(synthetic_input)
+    recorded = []
+    original = models._lockstep
+
+    def record(score, starts, bounds, xatol, fatol, maxfev=4000):
+        results = original(score, starts, bounds, xatol, fatol, maxfev)
+        if len(starts) > 1:
+            recorded.append((score, starts, bounds, results))
+        return results
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(models, "_lockstep", record)
+        fit("s_complex", adjfactor.to_distribution(adjfactor.census(graph, "s")))
+        fit("emg", adjfactor.to_distribution(adjfactor.census(graph, "t")))
+    return dict(zip(("s_complex", "emg", "emg-sigma0"), recorded))
+
+
+class TestRealObjectiveOracle:
+    """Every Halton start of fit's own searches against scipy, bit for bit."""
+
+    @pytest.mark.parametrize("family", ["s_complex", "emg", "emg-sigma0"])
+    def test_each_start_matches_scipy(self, fixture_objectives, family):
+        score, starts, bounds, results = fixture_objectives[family]
+        assert len(starts) == 16 and len(bounds) == (2 if family == "emg-sigma0" else 3)
+        for start, result in zip(starts, results):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                expected = minimize(
+                    lambda p: score(p[None, :])[0], np.array(start), method="Nelder-Mead", bounds=bounds,
+                    options={"xatol": 1e-10, "fatol": 1e-14, "maxfev": 4000},
+                )
             _assert_same_as_scipy(result, expected)
 
 
@@ -381,27 +456,29 @@ class TestNanNeverWins:
         assert result.sse < 1e-12
 
 
+EMG_GRID_X = np.array([0.0, 1.0, 2.0, 3.0, 3.5, 4.0, 6.0, 9.0, 20.0, 60.0, 400.0])
+EMG_GRID_ROWS = np.array([
+    [0.5, 3.0, 2.0],
+    [0.43, 0.0, 0.0],
+    [1.2, 3.0, 0.0],
+    [0.07, 10.86, 5.06],
+    [2.0, 3.0, 1e-170],  # sigma**2 underflows
+    [0.3, 3.0, 5e-324],
+    [4.9, 1.0, 0.4],  # crossover mu + lam*sigma**2 between support points
+    [1e-6, 60.0, 60.0],
+])
+
+
 class TestBatchedModels:
     """Parameter columns give the rows of separate scalar-parameter calls."""
 
     def test_emg_columns_equal_rows(self):
-        mu = 3.0
-        x = np.array([0.0, 1.0, 2.0, mu, 3.5, 4.0, 6.0, 9.0, 20.0, 60.0, 400.0])
-        rows = np.array([
-            [0.5, mu, 2.0],
-            [0.43, 0.0, 0.0],
-            [1.2, mu, 0.0],
-            [0.07, 10.86, 5.06],
-            [2.0, mu, 1e-170],  # sigma**2 underflows
-            [0.3, mu, 5e-324],
-            [4.9, 1.0, 0.4],  # crossover mu + lam*sigma**2 between support points
-            [1e-6, 60.0, 60.0],
-        ])
+        x, rows = EMG_GRID_X, EMG_GRID_ROWS
         batched = emg_model(x, rows[:, 0:1], rows[:, 1:2], rows[:, 2:3])
         separate = np.stack([emg_model(x, *row) for row in rows])
         assert batched.shape == (len(rows), len(x))
         assert not np.isnan(batched).any()
-        # the pointwise sigma -> 0 limit lam/2 at x == mu
+        # the pointwise sigma -> 0 limit lam/2 at x == mu == x[3]
         assert separate[4, 3] == pytest.approx(1.0, rel=1e-14, abs=0.0)
         assert separate[5, 3] == pytest.approx(0.15, rel=1e-14, abs=0.0)
         lam, mu_6, sigma = rows[6]
@@ -427,6 +504,14 @@ class TestBatchedModels:
             actual = emg_model(x, lam, mu, sigma)
             assert not np.isnan(expected).any()
             assert np.allclose(actual, expected, rtol=1e-12, atol=1e-250)
+
+    def test_emg_bits_equal_row_gather_reference(self):
+        x, rows = EMG_GRID_X, EMG_GRID_ROWS
+        columns = rows[:, 0:1], rows[:, 1:2], rows[:, 2:3]
+        assert emg_model(x, *columns).tobytes() == reference_emg(x, *columns).tobytes()
+        for row in rows:
+            expected = reference_emg(x, *(np.array([[v]]) for v in row))[0]
+            assert emg_model(x, *row).tobytes() == expected.tobytes()
 
     def test_s_complex_columns_equal_rows(self):
         x = np.array([1.0, 2.0, 3.0, 10.0, 57.0, 1000.0])
@@ -487,26 +572,36 @@ def _fit_erfcx_series(degree: int = 24, points: int = 4000) -> np.ndarray:
     return np.polynomial.chebyshev.chebfit(t, (y + 3.0) * special.erfcx(y), degree)
 
 
+def _erfcx_grid() -> np.ndarray:
+    tiny = np.finfo(float).tiny
+    # the t-interval's ends are y = 0 and y = inf, and its 2048 pieces
+    # meet where 2048*(t + 1)/2 is an integer
+    t_knots = np.arange(1, models._ERFCX_PIECES) * (2.0 / models._ERFCX_PIECES) - 1.0
+    knots = 3.0 * (1.0 + t_knots) / (1.0 - t_knots)
+    return np.concatenate([
+        [0.0, 5e-324, 1e-320, tiny / 2, tiny, 1e-300, 1e-17, 1e-8],  # 0 and subnormals
+        np.nextafter(knots, 0.0), knots, np.nextafter(knots, np.inf),
+        np.linspace(0.0, 1e-6, 1001),  # the EMG switches branch where the argument is 0
+        np.linspace(0.0, 60.0, 200_001),
+        np.geomspace(1e-300, 1e300, 200_001),
+        [1e300, np.finfo(float).max],
+    ])
+
+
 class TestErfcx:
     """The in-house erfcx against scipy.special.erfcx, its reference."""
+
+    def test_bits_equal_row_gather_reference(self):
+        y = _erfcx_grid()
+        assert models._erfcx(y).tobytes() == reference_erfcx(y).tobytes()
+        y = np.array([[np.inf, np.nan, 0.0], [1.0, 2.0, 3.0]])
+        assert models._erfcx(y).tobytes() == reference_erfcx(y).tobytes()
 
     def test_series_refits_from_scipy(self):
         assert np.allclose(_fit_erfcx_series(), models._ERFCX_SERIES, rtol=0.0, atol=1e-15)
 
     def test_matches_scipy_on_dense_grid(self):
-        tiny = np.finfo(float).tiny
-        # the t-interval's ends are y = 0 and y = inf, and its 2048 pieces
-        # meet where 2048*(t + 1)/2 is an integer
-        t_knots = np.arange(1, models._ERFCX_PIECES) * (2.0 / models._ERFCX_PIECES) - 1.0
-        knots = 3.0 * (1.0 + t_knots) / (1.0 - t_knots)
-        y = np.concatenate([
-            [0.0, 5e-324, 1e-320, tiny / 2, tiny, 1e-300, 1e-17, 1e-8],  # 0 and subnormals
-            np.nextafter(knots, 0.0), knots, np.nextafter(knots, np.inf),
-            np.linspace(0.0, 1e-6, 1001),  # the EMG switches branch where the argument is 0
-            np.linspace(0.0, 60.0, 200_001),
-            np.geomspace(1e-300, 1e300, 200_001),
-            [1e300, np.finfo(float).max],
-        ])
+        y = _erfcx_grid()
         expected = special.erfcx(y)
         assert (expected > 0).all()
         assert np.abs(models._erfcx(y) / expected - 1.0).max() <= 1e-13
