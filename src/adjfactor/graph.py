@@ -317,38 +317,46 @@ def clique_counts(graph: Graph, listing: TrianglePass) -> np.ndarray:
     return np.bincount(np.concatenate(counts), minlength=len(triangles))
 
 
-DEFAULT_COMMENT_PREFIXES = ("#", "%")
+def parse_edge_list(text: str) -> tuple[Graph, IngestReport]:
+    """Parse edge-list text into a simple undirected graph.
 
-
-def parse_edge_list(
-    source: str | Iterable[str],
-    comment_prefixes: Sequence[str] = DEFAULT_COMMENT_PREFIXES,
-    extra_delimiters: str = ",;",
-) -> tuple[Graph, IngestReport]:
-    """Parse whitespace-separated edge-list text into a simple undirected graph.
-
-    The first two integer tokens of each non-comment line are the edge
-    endpoints; extra tokens (timestamps, weights) are ignored. Directed
-    duplicates collapse to one edge and self-loops are dropped, both counted
-    in the report. Node labels may be arbitrary nonnegative integers and are
-    remapped to dense ids in ascending label order; a label seen only in a
-    self-loop stays as an isolated node.
+    Lines end where `str.splitlines` ends them. Blank lines and lines whose
+    first non-whitespace character is "#" or "%" are skipped. On every other
+    line the tokens are separated by whitespace, "," or ";", and the first two
+    are the edge endpoints: nonnegative integer labels of any size. Extra
+    tokens (timestamps, weights) are ignored. Directed duplicates collapse to
+    one edge and self-loops are dropped, both counted in the report. Labels
+    are remapped to dense ids in ascending label order; a label seen only in
+    a self-loop stays as an isolated node. Plain text is parsed in bulk (see
+    `_plain_labels`), any other text line by line, with identical results.
     """
-    if isinstance(source, str):
-        lines: Iterable[str] = source.splitlines()
-    else:
-        lines = source
+    # a lone surrogate can only sit in a comment or in a token the bulk pass declines
+    return _parse_plain(text.encode("utf-8", "surrogatepass")) or _parse_lines(text)
 
-    prefixes = tuple(comment_prefixes)
-    endpoints: list[int] = []  # u, v of every edge line, in file order
+
+def load_edge_list(path: str | Path) -> tuple[Graph, IngestReport]:
+    """Read an edge-list file and parse its UTF-8 text as `parse_edge_list` does.
+
+    A file that cannot be opened or read, or is not UTF-8 text, raises
+    `DataError`, as a malformed line does.
+    """
+    try:
+        data = Path(path).read_bytes()
+        data.decode("utf-8")  # checked here; the text is made again only if the bulk parse declines
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(str(exc)) from exc
+    return _parse_plain(data) or _parse_lines(data.decode("utf-8"))
+
+
+def _parse_lines(text: str) -> tuple[Graph, IngestReport]:
+    """Line-by-line parse of any text; the only route that reports a malformed line."""
+    endpoints: list[int] = []  # u, v of every edge line, in line order
     line_number = 0
-    for line_number, raw in enumerate(lines, start=1):
+    for line_number, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
-        if not stripped or stripped.startswith(prefixes):
+        if not stripped or stripped.startswith(("#", "%")):
             continue
-        for ch in extra_delimiters:
-            stripped = stripped.replace(ch, " ")
-        tokens = stripped.split(None, 2)
+        tokens = stripped.replace(",", " ").replace(";", " ").split(None, 2)
         if len(tokens) < 2:
             raise ParseError("expected at least two integer columns", line_number)
         for token in tokens[:2]:
@@ -365,14 +373,28 @@ def parse_edge_list(
     remap = {label: i for i, label in enumerate(labels)}
     ids = np.fromiter(map(remap.__getitem__, endpoints), np.int64, len(endpoints))
     del endpoints, remap
-    n = len(labels)
+    return _build(ids, len(labels), line_number)
+
+
+def _parse_plain(data: bytes) -> tuple[Graph, IngestReport] | None:
+    """Bulk parse of plain UTF-8 text, or None where `_plain_labels` declines it."""
+    plain = _plain_labels(data)
+    if plain is None:
+        return None
+    labels, line_count = plain
+    distinct, ids = np.unique(labels, return_inverse=True)  # ids in ascending label order
+    return _build(ids, len(distinct), line_count)
+
+
+def _build(ids: np.ndarray, n: int, line_count: int) -> tuple[Graph, IngestReport]:
+    """Graph and report from the dense ids (0..n-1) of every edge line's endpoints, u and v interleaved."""
     u, v = ids[0::2], ids[1::2]
     kept = u != v
     keys = np.minimum(u, v)[kept] * n + np.maximum(u, v)[kept]
     unique = _sorted_unique(keys)
     graph = Graph._from_pairs(*np.divmod(unique, n), n)
     report = IngestReport(
-        lines_read=line_number,
+        lines_read=line_count,
         self_loops_dropped=len(u) - len(keys),
         duplicates_dropped=len(keys) - len(unique),
         nodes=graph.node_count,
@@ -381,14 +403,79 @@ def parse_edge_list(
     return graph, report
 
 
-def load_edge_list(path: str | Path, **kwargs) -> tuple[Graph, IngestReport]:
-    """Read and parse an edge-list file. A file that cannot be opened or read,
-    or is not UTF-8 text, raises `DataError`, as a malformed line does."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return parse_edge_list(handle, **kwargs)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(str(exc)) from exc
+# Byte classes of the bulk pass; every class from _DELIM up marks a byte that
+# may stand on a data line only if it is "," or ";"
+_SPACE, _DIGIT, _NEWLINE, _DELIM, _COMMENT, _OTHER, _BREAK = range(7)
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[list(b" \t")] = _SPACE
+_BYTE_CLASS[list(b"0123456789")] = _DIGIT
+_BYTE_CLASS[list(b"\n")] = _NEWLINE
+_BYTE_CLASS[list(b",;")] = _DELIM
+_BYTE_CLASS[list(b"#%")] = _COMMENT
+_BYTE_CLASS[list(b"\r\x0b\x0c\x1c\x1d\x1e")] = _BREAK  # the one-byte line breaks of str.splitlines besides "\n"
+_WIDE_BREAKS = tuple(char.encode() for char in "\x85\u2028\u2029")  # and its multi-byte ones
+_MAX_DIGITS = 18  # every label of up to 18 digits fits int64
+
+
+def _plain_labels(data: bytes) -> tuple[np.ndarray, int] | None:
+    """Endpoint labels of plain text (u and v interleaved, int64) and its line count, or None.
+
+    Text is plain when "\\n" is its only line break and, outside comment lines,
+    it holds only ASCII digits, space, tab, "," and ";", every line with a
+    token has at least two, and the first two have at most 18 digits. Such
+    text gives exactly the labels and line count of `_parse_lines`; any other
+    text returns None. Tokens are the digit runs; a searchsorted over the
+    newline positions gives each token its line. Arrays over every byte are
+    uint8 or bool and are freed on return; int64 arrays hold one entry per
+    token, line or mark (a byte of class _DELIM or above).
+    """
+    if not data.isascii() and any(wide in data for wide in _WIDE_BREAKS):
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    codes = _BYTE_CLASS[raw]
+    if (codes == _BREAK).any():
+        return None
+    newlines = np.flatnonzero(codes == _NEWLINE)
+    line_count = len(newlines) + int(bool(data) and not data.endswith(b"\n"))
+    digit = np.zeros(len(raw) + 2, dtype=bool)
+    np.equal(codes, _DIGIT, out=digit[1:-1])
+    starts, ends = np.flatnonzero(digit[1:] != digit[:-1]).reshape(-1, 2).T  # digit runs
+    del digit
+    token_line = np.searchsorted(newlines, starts)
+    marks = np.flatnonzero(codes >= _DELIM)
+    mark_code = codes[marks]
+    mark_line = np.searchsorted(newlines, marks)
+    del codes, newlines
+
+    # a comment line's first mark is "#" or "%", with no token before it on its line
+    first = np.ones(len(marks), dtype=bool)
+    np.not_equal(mark_line[1:], mark_line[:-1], out=first[1:])
+    heads, head_line = marks[first], mark_line[first]
+    at_line_start = np.searchsorted(starts, heads) == np.searchsorted(token_line, head_line)
+    comment = np.zeros(line_count + 1, dtype=bool)
+    comment[head_line[at_line_start & (mark_code[first] == _COMMENT)]] = True
+    tokens_on = np.bincount(token_line, minlength=len(comment))
+    tokens_on[comment] = 0
+    # a data line may hold "," and ";" besides its tokens, and never a lone token;
+    # a line of separators alone is a malformed line, not a blank one
+    stray = ~comment[mark_line] & ((mark_code != _DELIM) | (tokens_on[mark_line] == 0))
+    if stray.any() or (tokens_on == 1).any():
+        return None
+
+    line_start = ~comment[token_line]
+    np.logical_and(line_start[1:], token_line[1:] != token_line[:-1], out=line_start[1:])
+    pick = np.repeat(np.flatnonzero(line_start), 2)
+    pick[1::2] += 1  # the first two tokens of each data line
+    starts, ends = starts[pick], ends[pick]
+    widths = ends - starts
+    longest = int(widths.max(initial=0))
+    if longest > _MAX_DIGITS:
+        return None
+    labels = np.zeros(len(widths), dtype=np.int64)
+    for k in range(1, longest + 1):  # the k-th digit from the right
+        digits = raw[ends - k].astype(np.int64) - ord("0")
+        labels += np.where(widths >= k, digits, 0) * 10 ** (k - 1)
+    return labels, line_count
 
 
 def write_edge_list(graph: Graph, target: str | Path | IO[str]) -> None:

@@ -18,6 +18,7 @@ from adjfactor import (
     parse_edge_list,
     write_edge_list,
 )
+from adjfactor import graph as graph_module
 from helpers import complete_graph, er_graph, path_graph
 
 
@@ -116,8 +117,8 @@ class TestParse:
         assert list(census(g1, "s").factors) == list(census(g2, "s").factors)
 
     @pytest.mark.parametrize(
-        "content", [None, b"\xff\xfe1 2\n", b"1 2\n3 \xe9\n"],
-        ids=["missing", "binary", "latin1_line"],
+        "content", [None, b"\xff\xfe1 2\n", b"1 2\n3 \xe9\n", b"# \xe9\n1 2\n"],
+        ids=["missing", "binary", "latin1_line", "latin1_comment"],
     )
     def test_unreadable_file_is_data_error(self, tmp_path, content):
         path = tmp_path / "input.txt"
@@ -136,6 +137,93 @@ class TestParse:
             assert (g2.node_count, g2.edge_count) == (g.node_count, g.edge_count)
             assert g2.degrees() == g.degrees()
             assert g2 == g
+
+    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"],
+                             ids=["vt", "ff", "fs", "nel", "ls"])
+    def test_file_and_string_split_lines_alike(self, tmp_path, brk):
+        """A file breaks lines where `str.splitlines` does, like a string."""
+        path = tmp_path / "input.txt"
+        text = f"1 2{brk}3 4\n5 6\n"
+        path.write_text(text, encoding="utf-8")
+        g, report = load_edge_list(path)
+        assert (g, report) == parse_edge_list(text)
+        assert (report.lines_read, report.edges) == (3, 3)
+        path.write_text(f"1 2{brk}3 x\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_edge_list(path)
+        assert info.value.line_number == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "", "\n", "1 2", "1 2\n\n", "# é — x\n1 2\n", "%\n \t# 1\n007\t0;3,,4\n",
+            f"{'9' * 18} {10**17} 5\n", f"1 2 {'3' * 30}\n", "1 , 2\n  \t\n",
+        ],
+        ids=["empty", "blank", "no_final_newline", "trailing_blank", "non_ascii_comment",
+             "mixed_gaps", "eighteen_digits", "long_extra_column", "spaced_comma"],
+    )
+    def test_plain_text_parses_in_bulk(self, text):
+        parsed = graph_module._parse_plain(text.encode())
+        assert parsed is not None
+        assert parsed == graph_module._parse_lines(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1 2\r\n", "1 2\n3 4\r", "+1 2\n", "1_0 2\n", "1 2.5\n", "1 2 0.5\n", "1 2\n3\n",
+            f"{'1' * 19} 2\n", f"{'0' * 19} 2\n", "1\xa02\n", "1 2\u3000\n", "1 2\n,\n", "1 2\n;;\n",
+            "1 2 # x\n", "1 # 2\n", ", # x\n1 2\n", "# a\x85b\n", "# a\u2029b\n", "# a\r1 2\n",
+        ],
+        ids=["crlf", "cr", "sign", "underscore", "dot", "dot_in_extra_column", "one_token",
+             "nineteen_digits", "nineteen_zero_padded", "nbsp", "ideographic_space",
+             "comma_line", "semicolon_line", "inline_comment", "hash_between_tokens",
+             "comment_after_comma", "nel_in_comment", "ps_in_comment", "cr_in_comment"],
+    )
+    def test_other_text_declines_to_the_line_parser(self, text):
+        assert graph_module._parse_plain(text.encode()) is None
+        try:
+            expected = graph_module._parse_lines(text)
+        except ParseError as error:
+            with pytest.raises(ParseError) as info:
+                parse_edge_list(text)
+            assert str(info.value) == str(error)
+            return
+        assert parse_edge_list(text) == expected
+
+    def test_large_file_loads_in_bulk_as_the_line_parser_reads_it(self, tmp_path, monkeypatch):
+        rng = random.Random(2022)
+        labels = [rng.randrange(10**rng.choice((1, 4, 9, 18))) for _ in range(20000)]
+        lines = ["# Directed graph: a seeded stand-in", "# FromNodeId\tToNodeId"]
+        pairs: list[tuple[int, int]] = []
+        while len(lines) < 200_000:
+            roll = rng.random()
+            if roll < 0.02:
+                lines.append(rng.choice(["", "  ", "\t"]))
+                continue
+            if roll < 0.1 and pairs:
+                u, v = rng.choice(pairs)  # a duplicate, half of them reversed
+                u, v = (v, u) if rng.random() < 0.5 else (u, v)
+            elif roll < 0.12:
+                u = v = rng.choice(labels)
+            else:
+                u, v = rng.choice(labels), rng.choice(labels)
+                pairs.append((u, v))
+            gap = rng.choice([" ", "\t", ",", " ; "])
+            extra = rng.choice(["", f"{gap}{rng.randrange(10**10)}", f"{gap}1{gap}0"])
+            lines.append(f"{u}{gap}{v}{extra}")
+        text = "\n".join(lines) + "\n"
+        path = tmp_path / "large.txt"
+        path.write_text(text, encoding="utf-8")
+        expected = graph_module._parse_lines(text)
+        report = expected[1]
+        assert report.self_loops_dropped > 0 and report.duplicates_dropped > 0
+        assert report.lines_read == 200_000
+
+        def unreachable(text):
+            raise AssertionError("plain text reached the line parser")
+
+        monkeypatch.setattr(graph_module, "_parse_lines", unreachable)
+        assert load_edge_list(path) == expected
 
 
 class TestGraphType:
