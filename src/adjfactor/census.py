@@ -16,7 +16,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .graph import DataError, Graph, clique_counts, triangle_pass
+from .graph import DataError, Graph, _closed_wedges
 
 Triangle = tuple[int, int, int]
 
@@ -64,7 +64,9 @@ def _normalize_kind(kind: str) -> str:
 
 def enumerate_triangles(graph: Graph) -> list[Triangle]:
     """All triangles, each once, as node triples sorted ascending, in ascending order."""
-    return [tuple(t) for t in triangle_pass(graph).triangles.tolist()]
+    wedges = _closed_wedges(graph)
+    triangles, _ = wedges.sorted_triangles(wedges.forward_rows()[wedges.first])
+    return [tuple(t) for t in triangles.tolist()]
 
 
 def s_adjacency_factor(graph: Graph, u: int, v: int) -> int:
@@ -89,20 +91,25 @@ def t_adjacency_factor(graph: Graph, triangle: Sequence[int]) -> int:
 def census(graph: Graph, kind: str) -> AdjacencyCensus:
     """Adjacency factors for every edge (kind "s") or every triangle (kind "t").
 
-    Both read one triangle listing. The S factor of an edge is its
-    common-neighbor count. The T factor of triangle abc is
-    s_ab + s_bc + s_ca - 3 - 3 K4(abc): each pair's common neighbors include
-    the third vertex, and a node adjacent to all three (one per K4 on the
-    triangle) sits in all three pair counts but must not count at all.
+    Both read the closed forward wedges of `graph._closed_wedges`, one per
+    triangle, and the rows of its three edges. The S factor of an edge is
+    its common-neighbor count: the triangles on it. The T factor of triangle
+    abc is s_ab + s_bc + s_ca - 3 - 3 K4(abc): each pair's common neighbors
+    include the third vertex, and a node adjacent to all three (one per K4 on
+    the triangle) sits in all three pair counts but must not count at all.
     Units are int64 rows: (u, v) in `Graph.edges()` order, or (a, b, c)
     ascending, in ascending order.
     """
     k = _normalize_kind(kind)
-    listing = triangle_pass(graph)
+    wedges = _closed_wedges(graph)
+    rows = wedges.forward_rows()
+    xy, xz, yz = rows[wedges.first], rows[wedges.second], wedges.closing
+    common = np.bincount(np.concatenate((xy, xz, yz)), minlength=len(rows))
     if k == "s":
-        return AdjacencyCensus(kind="s", units=listing.edges, factors=listing.common)
-    factors = listing.common[listing.sides].sum(axis=1) - 3 - 3 * clique_counts(graph, listing)
-    return AdjacencyCensus(kind="t", units=listing.triangles, factors=factors)
+        return AdjacencyCensus(kind="s", units=np.column_stack((wedges.u, wedges.v)), factors=common)
+    factors = common[xy] + common[xz] + common[yz] - 3 - 3 * wedges.clique_counts(rows)
+    triangles, order = wedges.sorted_triangles(xy)
+    return AdjacencyCensus(kind="t", units=triangles, factors=factors[order])
 
 
 def to_distribution(c: AdjacencyCensus) -> DistributionSeries:

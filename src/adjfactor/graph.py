@@ -226,21 +226,6 @@ def _segments(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.nd
     return positions, owners
 
 
-class TrianglePass(NamedTuple):
-    """Every edge and triangle of a graph, from one degree-ordered listing.
-
-    edges: (E, 2) rows (u, v), u < v, in the order of `Graph.edges()`.
-    common: (E,) common-neighbor count of each edge, i.e. its triangles.
-    triangles: (T, 3) rows (a, b, c), a < b < c, in ascending order.
-    sides: (T, 3) row numbers in `edges` of (a, b), (b, c) and (a, c).
-    """
-
-    edges: np.ndarray
-    common: np.ndarray
-    triangles: np.ndarray
-    sides: np.ndarray
-
-
 def _forward(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Rank by (degree, id), and each node's higher-ranked neighbors as a CSR.
 
@@ -259,62 +244,113 @@ def _forward(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     return rank, fptr, fsrc, indices[forward]
 
 
-def triangle_pass(graph: Graph) -> TrianglePass:
-    """List every triangle once and count the triangles on every edge.
+class ClosedWedges(NamedTuple):
+    """Every triangle of a graph, once, as a closed forward wedge (x; y, z).
 
-    Each edge is oriented toward its endpoint of higher (degree, id) rank
+    Each edge runs forward, toward its endpoint of higher (degree, id) rank
     (Chiba & Nishizeki, SIAM J. Comput. 14, 1985), so forward lists stay
-    short and each triangle is one forward wedge (two entries of one forward
-    list) whose ends are joined by an edge, looked up among the sorted edge keys.
+    short. A triangle is found at its lowest-ranked node x, as two entries
+    x -> y and x -> z of x's forward list, y < z, whose ends y and z are
+    joined by an edge.
+
+    u, v: (E,) endpoints of every edge, u < v, in `Graph.edges()` order; an
+        edge's row is its position here.
+    rank, fsrc, fdst: node ranks and the forward entries, as `_forward`
+        returns them.
+    first, second: (T,) forward entries x -> y and x -> z of each triangle,
+        in ascending (x, y, z) order.
+    closing: (T,) row of the edge (y, z).
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+    rank: np.ndarray
+    fsrc: np.ndarray
+    fdst: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    closing: np.ndarray
+
+    def corners(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, y, z) of every triangle."""
+        return self.fsrc[self.first], self.fdst[self.first], self.fdst[self.second]
+
+    def forward_rows(self) -> np.ndarray:
+        """Row of the edge of every forward entry.
+
+        Each edge has one forward entry, and the entries run in ascending
+        (source, target) order, so sorting the edges by that key lists their
+        rows in entry order.
+        """
+        n = len(self.rank)
+        ahead = self.rank[self.u] < self.rank[self.v]
+        return np.argsort(np.where(ahead, self.u * n + self.v, self.v * n + self.u))
+
+    def clique_counts(self, rows: np.ndarray) -> np.ndarray:
+        """Number of 4-cliques (K4) on each triangle; rows is `forward_rows()`.
+
+        Name a triangle's nodes low, mid and top by rank (low is x). A K4 is
+        found once, from the triangle (low; mid, top) of its three
+        lowest-ranked nodes. Its fourth node d outranks them all, so
+        (low; top, d) is a triangle whose entry to its lower end is low -> top,
+        and (low; mid, d) is a triangle too. The last, (mid; top, d), has the
+        forward entries of the edges that close (low; mid, top) and
+        (low; mid, d). A triangle is looked up by its two forward entries.
+        """
+        entries = len(self.fdst)
+        y_top = self.rank[self.fdst[self.first]] > self.rank[self.fdst[self.second]]
+        to_top = np.where(y_top, self.first, self.second)
+        to_mid = np.where(y_top, self.second, self.first)
+        del y_top
+        by_mid_entry = np.argsort(to_mid)
+        per_entry = np.bincount(to_mid, minlength=entries)
+        ends = np.cumsum(per_entry)
+        positions, low_mid_top = _segments(ends[to_top] - per_entry[to_top], per_entry[to_top])
+        low_top_d = by_mid_entry[positions]  # one candidate d each
+        del by_mid_entry, per_entry, ends, positions
+        named = self.first * entries + self.second  # ascending
+
+        def triangle(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+            """Position of the triangle with forward entries p and q, or -1."""
+            return _find(named, np.minimum(p, q) * entries + np.maximum(p, q))
+
+        low_mid_d = triangle(to_mid[low_mid_top], to_top[low_top_d])
+        kept = low_mid_d >= 0
+        low_mid_top, low_top_d, low_mid_d = low_mid_top[kept], low_top_d[kept], low_mid_d[kept]
+        entry = np.empty_like(rows)
+        entry[rows] = np.arange(len(rows))
+        mid_top_d = triangle(entry[self.closing[low_mid_top]], entry[self.closing[low_mid_d]])
+        cliques = np.concatenate((low_mid_top, low_top_d, low_mid_d, mid_top_d))
+        return np.bincount(cliques, minlength=len(self.first))
+
+    def sorted_triangles(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Triangles as rows (a, b, c), a < b < c, in ascending order, and the order taken.
+
+        xy is the row of the edge (x, y) of every triangle. Row i of the
+        result is triangle order[i]. As y < z, sorting a triangle only places x.
+        """
+        n = len(self.rank)
+        x, y, z = self.corners()
+        a, b, c = np.minimum(x, y), np.where(x < y, y, np.minimum(x, z)), np.maximum(x, z)
+        order = np.argsort(np.where(x > z, self.closing, xy) * n + c)  # row of edge (a, b), then c
+        return np.column_stack((a, b, c))[order], order
+
+
+def _closed_wedges(graph: Graph) -> ClosedWedges:
+    """List every triangle once, with the row of its closing edge.
+
+    The ends of each forward wedge are looked up among the sorted edge keys.
+    Average CC, both censuses and `enumerate_triangles` read only this pass.
     """
     n = graph.node_count
     u, v = _upper_edges(graph.indptr, graph.indices)
-    keys = u * n + v
-    _, fptr, fsrc, fdst = _forward(graph)
+    rank, fptr, fsrc, fdst = _forward(graph)
     later = np.arange(1, len(fdst) + 1)
     second, first = _segments(later, fptr[fsrc + 1] - later)  # entry pairs first < second of one list
     del later
-    hit = _find(keys, fdst[first] * n + fdst[second]) >= 0  # fdst[first] < fdst[second]
-    first, second = first[hit], second[hit]
-    triangles = np.sort(np.column_stack((fsrc[first], fdst[first], fdst[second])), axis=1)
-    del first, second, fptr, fsrc, fdst
-    a, b, c = triangles.T
-    sides = np.column_stack((_find(keys, a * n + b), _find(keys, b * n + c), _find(keys, a * n + c)))
-    order = np.argsort(sides[:, 0] * n + c)  # row of edge (a, b), then c: ascending triangles
-    triangles, sides = triangles[order], sides[order]
-    common = np.bincount(sides.ravel(), minlength=len(keys))
-    return TrianglePass(np.column_stack((u, v)), common, triangles, sides)
-
-
-def clique_counts(graph: Graph, listing: TrianglePass) -> np.ndarray:
-    """Number of 4-cliques (K4) on each triangle of the listing.
-
-    A K4 is found once, from its three lowest-ranked nodes: the fourth node is
-    in the forward lists of all three, and the search runs through the forward
-    list of the top-ranked one.
-    """
-    n = graph.node_count
-    triangles = listing.triangles
-    keys = listing.edges[:, 0] * n + listing.edges[:, 1]
-    rank, fptr, fsrc, fdst = _forward(graph)
-    forward_keys = fsrc * n + fdst  # ascending
-    low, mid, top = np.take_along_axis(triangles, np.argsort(rank[triangles], axis=1), axis=1).T
-    positions, owners = _segments(fptr[top], fptr[top + 1] - fptr[top])
-    w = fdst[positions]
-    del positions, rank, fptr, fsrc, fdst
-    for vertex in (low, mid):  # w outranks both, so a K4 puts w in both forward lists
-        query = vertex[owners]
-        query *= n
-        query += w
-        kept = _find(forward_keys, query) >= 0
-        owners, w = owners[kept], w[kept]
-    triangle_keys = listing.sides[:, 0] * n + triangles[:, 2]
-    counts = [owners]
-    cliques = triangles[owners]
-    for pair in ((0, 1), (0, 2), (1, 2)):  # the other three triangles of each K4
-        p, q, r = np.sort(np.column_stack((cliques[:, pair], w)), axis=1).T
-        counts.append(_find(triangle_keys, _find(keys, p * n + q) * n + r))
-    return np.bincount(np.concatenate(counts), minlength=len(triangles))
+    closing = _find(u * n + v, fdst[first] * n + fdst[second])  # fdst[first] < fdst[second]
+    hit = closing >= 0
+    return ClosedWedges(u, v, rank, fsrc, fdst, first[hit], second[hit], closing[hit])
 
 
 def parse_edge_list(text: str) -> tuple[Graph, IngestReport]:
@@ -521,5 +557,5 @@ def average_clustering_coefficient(graph: Graph) -> float:
     """Arithmetic mean of the local clustering coefficient over all nodes."""
     if graph.node_count == 0:
         raise DataError("empty graph")
-    per_node = np.bincount(triangle_pass(graph).triangles.ravel(), minlength=graph.node_count)
+    per_node = np.bincount(np.concatenate(_closed_wedges(graph).corners()), minlength=graph.node_count)
     return mean_local_clustering(per_node, np.diff(graph.indptr))

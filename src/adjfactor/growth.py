@@ -147,6 +147,17 @@ def generate_pa_tf(config: GrowthConfig) -> Graph:
     return Graph(neighbor_lists)
 
 
+def grow_with_clustering(config: GrowthConfig) -> tuple[Graph, float]:
+    """The network `generate_pa_tf` grows, and its average clustering coefficient.
+
+    The coefficient comes from the triangles counted during growth, through
+    the same `mean_local_clustering` as `average_clustering_coefficient`, so
+    the two agree bit for bit without a triangle pass over the graph.
+    """
+    neighbor_lists, triangles = _grow(config)
+    return Graph(neighbor_lists), mean_local_clustering(triangles, list(map(len, neighbor_lists)))
+
+
 def derive_growth_config(nodes: int, edges: int, seed: int = 0) -> GrowthConfig:
     """Match a real network's size: m from the edge/node ratio, ring seed.
 

@@ -35,7 +35,7 @@ from .growth import (
     calibrate_pt,
     derive_growth_config,
     derive_seed,
-    generate_pa_tf,
+    grow_with_clustering,
 )
 from .models import (
     EMG,
@@ -134,7 +134,7 @@ def _replica_task(args: tuple) -> dict:
     config_dict, replica_index, out_dir_text, log_base = args
     out_dir = Path(out_dir_text)
     config = GrowthConfig(**config_dict)
-    graph = generate_pa_tf(config)
+    graph, avg_cc = grow_with_clustering(config)
     prefix = f"replica_{replica_index:02d}"
     write_edge_list(graph, out_dir / f"{prefix}.edges")
     fitted = _fit_both_kinds(graph, prefix, out_dir, log_base)
@@ -144,7 +144,7 @@ def _replica_task(args: tuple) -> dict:
         "edges_file": f"{prefix}.edges",
         "nodes": graph.node_count,
         "edges": graph.edge_count,
-        "avg_cc": average_clustering_coefficient(graph),
+        "avg_cc": avg_cc,
     }
     for kind in ("s", "t"):
         entry[kind] = {

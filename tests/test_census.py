@@ -3,6 +3,12 @@ import io
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+except ImportError:  # a test extra; only the rank-order fuzz below needs it
+    st = None
+
 from adjfactor import (
     Graph,
     GrowthConfig,
@@ -17,6 +23,7 @@ from adjfactor import (
     write_census_csv,
     write_distribution_csv,
 )
+from adjfactor.graph import _closed_wedges
 from helpers import (
     brute_s_factor,
     brute_t_factor,
@@ -180,6 +187,86 @@ class TestLargeGraphCrossCheck:
         assert s.factors.tolist() == [len(sets[u] & sets[v]) for u, v in s.units.tolist()]
         assert abs(average_clustering_coefficient(g) - expected_cc) <= 1e-12
         assert t.factors.tolist() == [set_t_factor(sets, a, b, c) for a, b, c in t.units.tolist()]
+
+
+def _x_positions(g: Graph) -> set[int]:
+    """Where each triangle's lowest-ranked node x falls by id: 0 lowest, 1 middle, 2 highest."""
+    x, y, z = _closed_wedges(g).corners()
+    return set(((x > y).astype(int) + (x > z)).tolist())
+
+
+# one triangle per x position: pendant edges make the other two corners outrank
+# x, whose degree is then lowest (a tie with no pendant goes to the lowest id)
+X_AT_EVERY_POSITION = Graph.from_edges(
+    [(0, 1), (1, 2), (0, 2), (1, 9), (2, 10)]
+    + [(3, 4), (4, 5), (3, 5), (3, 11), (5, 12)]
+    + [(6, 7), (7, 8), (6, 8), (6, 13), (7, 14)]
+)
+
+
+def test_fixture_puts_x_at_every_position():
+    assert _x_positions(X_AT_EVERY_POSITION) == {0, 1, 2}
+
+
+def _assert_matches_brute_oracles(g: Graph) -> None:
+    triangles = brute_triangles(g)
+    per_node = [0] * g.node_count
+    for triangle in triangles:
+        for v in triangle:
+            per_node[v] += 1
+    total = 0.0
+    for v in range(g.node_count):
+        k = g.degree(v)
+        total += per_node[v] / (k * (k - 1) / 2) if k >= 2 else 0.0
+    assert average_clustering_coefficient(g) == total / g.node_count
+
+    s = census(g, "s")
+    assert s.units.tolist() == [list(e) for e in g.edges()]
+    assert s.factors.tolist() == [brute_s_factor(g, u, v) for u, v in g.edges()]
+    t = census(g, "t")
+    assert enumerate_triangles(g) == triangles
+    assert t.units.tolist() == [list(tri) for tri in triangles]
+    assert t.factors.tolist() == [brute_t_factor(g, tri) for tri in triangles]
+
+
+if st is not None:
+
+    @st.composite
+    def rank_order_graphs(draw) -> Graph:
+        """Graphs whose (degree, id) rank order and id order disagree.
+
+        A clique (K5-K8), a star with chords among its leaves, a bipartite
+        (triangle-free) graph or a sparse random graph, with isolated nodes
+        added and every id relabelled, so hubs land at high ids and degree
+        ties are broken by ids in any order.
+        """
+        shape = draw(st.sampled_from(["clique", "star", "bipartite", "random"]))
+        if shape == "clique":
+            n = draw(st.integers(5, 8))
+            edges = {(u, v) for u in range(n) for v in range(u + 1, n)}
+        elif shape == "star":
+            n = draw(st.integers(3, 10))
+            leaves = st.integers(1, n - 1)
+            chords = draw(st.sets(st.tuples(leaves, leaves).filter(lambda e: e[0] < e[1]), max_size=8))
+            edges = {(0, leaf) for leaf in range(1, n)} | chords
+        elif shape == "bipartite":
+            left, right = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+            n = left + right
+            edges = draw(st.sets(st.tuples(st.integers(0, left - 1), st.integers(left, n - 1)), max_size=15))
+        else:
+            n = draw(st.integers(3, 12))
+            ids = st.integers(0, n - 1)
+            edges = draw(st.sets(st.tuples(ids, ids).filter(lambda e: e[0] < e[1]), max_size=30))
+        n += draw(st.integers(0, 3))  # isolated nodes
+        label = draw(st.permutations(range(n)))
+        return Graph.from_edges([(label[u], label[v]) for u, v in edges], node_count=n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rank_order_graphs())
+    @example(X_AT_EVERY_POSITION)
+    @example(complete_graph(8))
+    def test_rank_order_fuzz_matches_brute_oracles(g):
+        _assert_matches_brute_oracles(g)
 
 
 class TestDistribution:

@@ -97,6 +97,21 @@ class TestGrowthInternals:
         pilot = growth._pilot_mean_cc(config.n, config.n0, config.m, config.p_t, [config.seed])
         assert pilot == average_clustering_coefficient(generate_pa_tf(config))
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            GrowthConfig(n=1, n0=1, m=1, p_t=0.0, seed=3),
+            GrowthConfig(n=2, n0=2, m=1, p_t=0.5, seed=3),
+            *(GrowthConfig(n=400, n0=3, m=1, p_t=p_t, seed=5) for p_t in (0.0, 0.5, 1.0)),
+            *(GrowthConfig(n=400, n0=5, m=5, p_t=p_t, seed=6) for p_t in (0.0, 0.5, 1.0)),
+        ],
+        ids=repr,
+    )
+    def test_replica_cc_equals_graph_cc(self, config):
+        graph, cc = growth.grow_with_clustering(config)
+        assert graph == generate_pa_tf(config)
+        assert cc == average_clustering_coefficient(graph)
+
     def test_tf_partner_uniform_over_target_neighbors(self):
         # ring 0-1-2-3; node 4 attaches to a uniform ring node t, then (p_t=1)
         # to one of t's two ring neighbors, uniformly: 8 ordered outcomes

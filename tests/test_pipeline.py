@@ -264,9 +264,9 @@ class TestFailureClasses:
 
     @pytest.mark.parametrize(
         "target, error",
-        # census runs for the real network, generate_pa_tf only for replicas;
+        # census runs for the real network, grow_with_clustering only for replicas;
         # a monkeypatch reaches only this process, so both run inline
-        [("census", ValueError), ("generate_pa_tf", TypeError)],
+        [("census", ValueError), ("grow_with_clustering", TypeError)],
     )
     def test_bug_escapes(self, synthetic_input, tmp_path, monkeypatch, target, error):
         def broken(*args, **kwargs):
