@@ -9,7 +9,8 @@ so that each round scores all their trial points with one batched model call.
 Each run is still scipy's Nelder-Mead step for step; ordering its vertices
 takes a `sorted()` path only for distinct values without NaN, whose ascending
 order is unique, and leaves ties and NaN to np.argsort as scipy does.
-Identical input always yields an identical result.
+The edge-level model is linear in c, so it searches (a, b) alone and solves
+each point's c in closed form. Identical input always yields an identical result.
 
 The EMG needs the scaled complementary error function erfcx(y) =
 exp(y^2)*erfc(y), which numpy lacks. It is computed here from a Chebyshev
@@ -438,6 +439,24 @@ def _sse(predicted: np.ndarray, observed: np.ndarray) -> np.ndarray:
     return ((predicted - observed) ** 2).sum(axis=1)
 
 
+def _s_complex_projection(x: np.ndarray, observed: np.ndarray, log_base: float) -> Callable:
+    """Score of (k, 2) rows (a, b): the (k, 1) column of their best c, and the SSE there.
+
+    The model is c*g, so the SSE is a convex quadratic in c, least on [1e-8, 1]
+    at sum(g*y)/sum(g*g) clipped into it (1e-8 where every g*g underflows). The
+    SSE is summed from the residuals as `_sse` sums them; expanding it cancels.
+    """
+    exponent = np.log(x) / math.log(log_base)
+
+    def project(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        g = np.power(p[:, 1:2] * np.power(x, -p[:, 0:1]), exponent)
+        gg = (g * g).sum(axis=1)
+        c = ((g * observed).sum(axis=1) / np.where(gg > 0.0, gg, np.inf)).clip(1e-8, 1.0)[:, None]
+        return c, _sse(c * g, observed)
+
+    return project
+
+
 def fit(
     model: str,
     series: DistributionSeries,
@@ -447,7 +466,8 @@ def fit(
     """Least-squares fit of a model to a frequency series.
 
     The edge-level model is fitted on support >= 1 (its log is undefined at
-    0); the EMG uses the whole support. Multi-start keeps the result
+    0), by a 2-D search over (a, b) with c solved in closed form at each
+    point; the EMG uses the whole support. Multi-start keeps the result
     deterministic: ties break toward the earlier start.
     """
     if model not in PARAM_NAMES:
@@ -462,13 +482,9 @@ def fit(
         raise FitError(f"no positive frequency on the support to fit {model}")
 
     if model == S_COMPLEX:
-        bounds = [(0.0, 3.0), (1e-8, 2.0), (1e-8, 1.0)]
-
-        def score(p: np.ndarray) -> np.ndarray:
-            return _sse(s_complex_model(x, p[:, 0:1], p[:, 1:2], p[:, 2:3], log_base=log_base), observed)
-
-        best = _multistart_simplex(score, bounds, n_starts)
-        values = list(best.x)
+        project = _s_complex_projection(x, observed, log_base)
+        best = _multistart_simplex(lambda p: project(p)[1], [(0.0, 3.0), (1e-8, 2.0)], n_starts)
+        values = [*best.x, float(project(np.array([best.x]))[0][0, 0])]
         restarts = n_starts
     else:
         x_max = float(x.max())

@@ -143,6 +143,15 @@ class TestFit:
         for name, true in zip(("a", "b", "c"), (a, b, c)):
             assert abs(result.params[name] - true) / true < 0.01
 
+    def test_recovers_edge_model_exactly_at_natural_log_base(self):
+        x = np.arange(1, 51)
+        a, b, c = 0.16, 0.15, 0.67
+        series = series_from(x, s_complex_model(x, a, b, c, log_base=math.e))
+        result = fit("s_complex", series, log_base=math.e)
+        assert result.sse < 1e-12
+        for name, true in zip(("a", "b", "c"), (a, b, c)):
+            assert abs(result.params[name] - true) / true < 0.01
+
     def test_recovers_emg(self):
         x = np.arange(0, 61)
         lam, mu, sigma = 0.07, 10.86, 5.06
@@ -412,7 +421,8 @@ class TestRealObjectiveOracle:
     @pytest.mark.parametrize("family", ["s_complex", "emg", "emg-sigma0"])
     def test_each_start_matches_scipy(self, fixture_objectives, family):
         score, starts, bounds, results = fixture_objectives[family]
-        assert len(starts) == 16 and len(bounds) == (2 if family == "emg-sigma0" else 3)
+        # the edge-level search runs over (a, b) alone, c solved in closed form
+        assert len(starts) == 16 and len(bounds) == (3 if family == "emg" else 2)
         for start, result in zip(starts, results):
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"), warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -421,6 +431,80 @@ class TestRealObjectiveOracle:
                     options={"xatol": 1e-10, "fatol": 1e-14, "maxfev": 4000},
                 )
             _assert_same_as_scipy(result, expected)
+
+
+# (a, b) rows of the edge-level search, both bounds of each included
+S_PROJECTION_ROWS = np.array([
+    [0.0, 1e-8], [3.0, 1e-8], [0.0, 2.0], [3.0, 2.0],
+    *np.random.default_rng(12).uniform([0.0, 1e-8], [3.0, 2.0], (12, 2)),
+])
+S_PROJECTION_X = np.array([1.0, 2.0, 3.0, 4.0, 6.0, 9.0, 15.0, 40.0])
+
+
+class TestSComplexProjection:
+    """The edge-level score: c solved in closed form for each (a, b) row."""
+
+    @pytest.mark.parametrize("log_base", [10.0, math.e])
+    def test_equals_three_parameter_score_at_its_c(self, log_base):
+        rng = np.random.default_rng(5)
+        rows = S_PROJECTION_ROWS
+        grid = np.linspace(1e-8, 1.0, 2001)
+        solved = []
+        # with x = 1 (g = 1 there) and without it, at unit and at tiny mass:
+        # c meets both of its bounds and lies strictly inside them
+        for x, mass in [(S_PROJECTION_X, 1.0), (S_PROJECTION_X[1:] + 1.0, 1.0), (S_PROJECTION_X[1:] + 1.0, 1e-9)]:
+            observed = mass * rng.dirichlet(np.ones(len(x)))
+            c, sse = models._s_complex_projection(x, observed, log_base)(rows)
+            three = models._sse(s_complex_model(x, rows[:, 0:1], rows[:, 1:2], c, log_base=log_base), observed)
+            assert sse.tobytes() == three.tobytes()
+            # no c on a grid over its bounds scores lower
+            for (a, b), value in zip(rows, sse):
+                assert value <= models._sse(s_complex_model(x, a, b, grid[:, None], log_base=log_base), observed).min()
+            solved.append(c)
+        c = np.concatenate(solved)
+        assert c.shape == (3 * len(rows), 1)
+        assert (c == 1e-8).any() and (c == 1.0).any() and ((1e-8 < c) & (c < 1.0)).any()
+        assert ((1e-8 <= c) & (c <= 1.0)).all()
+
+    @pytest.mark.parametrize("x", [[1e4, 2e4, 5e4, 1e5], [1e60, 1e61, 1e62, 1e63]], ids=["g-squared", "g"])
+    def test_underflow_takes_lower_bound(self, x):
+        # without x = 1 every g (or at least every g*g) underflows at a=3,
+        # b=1e-8; c then takes its lower bound and the SSE is sum(y^2)
+        x = np.array(x)
+        observed = np.array([0.4, 0.3, 0.2, 0.1])
+        rows = np.array([[3.0, 1e-8], [2.9, 1e-7]])
+        c, sse = models._s_complex_projection(x, observed, math.e)(rows)
+        g = s_complex_model(x, rows[:, 0:1], rows[:, 1:2], 1.0, log_base=math.e)
+        assert (g * g == 0.0).all() and (g < 1e-150).all()
+        assert c.tolist() == [[1e-8], [1e-8]]
+        assert sse.tolist() == [(observed**2).sum()] * 2
+
+
+def _three_parameter_search(series):
+    """The edge-level least squares searched over (a, b, c) with the public model: the reference."""
+    x, observed = series.restrict(1.0)
+
+    def score(p):
+        return models._sse(s_complex_model(x, p[:, 0:1], p[:, 1:2], p[:, 2:3]), observed)
+
+    return models._multistart_simplex(score, [(0.0, 3.0), (1e-8, 2.0), (1e-8, 1.0)], 16)
+
+
+class TestSComplexAgainstThreeParameterSearch:
+    """Solving c never ends worse than searching it."""
+
+    @pytest.mark.parametrize("grown", [None, (800, 2, 0.3, 1), (1500, 3, 0.6, 2), (1000, 5, 0.85, 3)])
+    def test_sse_no_worse(self, synthetic_input, grown):
+        if grown is None:
+            graph, _ = adjfactor.load_edge_list(synthetic_input)
+        else:
+            n, m, p_t, seed = grown
+            graph = adjfactor.generate_pa_tf(adjfactor.GrowthConfig(n=n, n0=m + 1, m=m, p_t=p_t, seed=seed))
+        series = adjfactor.to_distribution(adjfactor.census(graph, "s"))
+        old = _three_parameter_search(series)
+        result = fit("s_complex", series)
+        assert result.sse <= old.fun * (1 + 1e-12)
+        assert result.converged and result.restarts == 16
 
 
 def _bowl_nan_lower_left(p):
