@@ -3,102 +3,73 @@ networks, matched scale-free growth with triad formation, and distribution
 fitting with significance comparison."""
 
 from .census import (
-    AdjacencyCensus,
-    DistributionSeries,
     census,
     enumerate_triangles,
-    read_distribution_csv,
-    s_adjacency_factor,
     t_adjacency_factor,
     to_distribution,
-    write_census_csv,
     write_distribution_csv,
 )
 from .graph import (
     DataError,
     Graph,
-    IngestReport,
     ParseError,
     average_clustering_coefficient,
     load_edge_list,
-    local_clustering_coefficient,
-    parse_edge_list,
     write_edge_list,
 )
 from .growth import (
     CalibrationError,
-    CalibrationResult,
     ConfigError,
     GrowthConfig,
     calibrate_pt,
-    calibrated_config,
     degree_ccdf_slope,
     derive_growth_config,
-    derive_seed,
     generate_pa_tf,
 )
 from .models import (
     EMG,
     S_COMPLEX,
     FitError,
-    FitResult,
     emg_model,
     erfc,
     fit,
     mnd,
-    model_function,
-    reference_constant,
     s_complex_model,
 )
 from .pipeline import ExperimentConfig, run_experiment
-from .stats import TTestResult, one_sample_t_test, student_t_cdf
+from .stats import one_sample_t_test, student_t_cdf
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjacencyCensus",
     "CalibrationError",
-    "CalibrationResult",
     "ConfigError",
     "DataError",
-    "DistributionSeries",
     "EMG",
     "ExperimentConfig",
     "FitError",
-    "FitResult",
     "Graph",
     "GrowthConfig",
-    "IngestReport",
     "ParseError",
     "S_COMPLEX",
-    "TTestResult",
     "average_clustering_coefficient",
     "calibrate_pt",
-    "calibrated_config",
     "census",
     "degree_ccdf_slope",
     "derive_growth_config",
-    "derive_seed",
     "emg_model",
     "enumerate_triangles",
     "erfc",
     "fit",
     "generate_pa_tf",
     "load_edge_list",
-    "local_clustering_coefficient",
     "mnd",
-    "model_function",
     "one_sample_t_test",
-    "parse_edge_list",
-    "read_distribution_csv",
-    "reference_constant",
     "run_experiment",
-    "s_adjacency_factor",
     "s_complex_model",
     "student_t_cdf",
     "t_adjacency_factor",
     "to_distribution",
-    "write_census_csv",
     "write_distribution_csv",
     "write_edge_list",
 ]

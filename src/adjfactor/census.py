@@ -20,8 +20,6 @@ from .graph import DataError, Graph, _closed_wedges
 
 Triangle = tuple[int, int, int]
 
-KINDS = ("s", "t")
-
 
 @dataclass
 class AdjacencyCensus:
@@ -46,20 +44,10 @@ class DistributionSeries:
     counts: np.ndarray
     freq: np.ndarray
 
-    def total_units(self) -> int:
-        return int(self.counts.sum())
-
     def restrict(self, min_support: float) -> tuple[np.ndarray, np.ndarray]:
         """(support, freq) at support >= min_support, without renormalizing."""
         mask = self.support >= min_support
         return self.support[mask].astype(float), self.freq[mask]
-
-
-def _normalize_kind(kind: str) -> str:
-    k = kind.lower()
-    if k not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    return k
 
 
 def enumerate_triangles(graph: Graph) -> list[Triangle]:
@@ -67,13 +55,6 @@ def enumerate_triangles(graph: Graph) -> list[Triangle]:
     wedges = _closed_wedges(graph)
     triangles, _ = wedges.sorted_triangles(wedges.forward_rows()[wedges.first])
     return [tuple(t) for t in triangles.tolist()]
-
-
-def s_adjacency_factor(graph: Graph, u: int, v: int) -> int:
-    """Number of triangles sitting on edge (u, v): the common-neighbor count."""
-    if not graph.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) is not an edge")
-    return len(np.intersect1d(graph.neighbors(u), graph.neighbors(v), assume_unique=True))
 
 
 def t_adjacency_factor(graph: Graph, triangle: Sequence[int]) -> int:
@@ -100,12 +81,13 @@ def census(graph: Graph, kind: str) -> AdjacencyCensus:
     Units are int64 rows: (u, v) in `Graph.edges()` order, or (a, b, c)
     ascending, in ascending order.
     """
-    k = _normalize_kind(kind)
+    if kind not in ("s", "t"):
+        raise ValueError(f'kind must be "s" or "t", got {kind!r}')
     wedges = _closed_wedges(graph)
     rows = wedges.forward_rows()
     xy, xz, yz = rows[wedges.first], rows[wedges.second], wedges.closing
     common = np.bincount(np.concatenate((xy, xz, yz)), minlength=len(rows))
-    if k == "s":
+    if kind == "s":
         return AdjacencyCensus(kind="s", units=np.column_stack((wedges.u, wedges.v)), factors=common)
     factors = common[xy] + common[xz] + common[yz] - 3 - 3 * wedges.clique_counts(rows)
     triangles, order = wedges.sorted_triangles(xy)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .census import census, read_distribution_csv, to_distribution, write_census_csv, write_distribution_csv
 from .graph import DataError, average_clustering_coefficient, load_edge_list, write_edge_list
-from .growth import CalibrationError, ConfigError, GrowthConfig, calibrate_pt, generate_pa_tf
+from .growth import CalibrationError, ConfigError, GrowthConfig, calibrate_pt, grow_with_clustering
 from .models import EMG, S_COMPLEX, FitError, fit
 from .pipeline import ExperimentConfig, run_experiment
 
@@ -72,23 +72,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
     config = GrowthConfig(
         n=args.nodes, n0=n0, m=args.edges_per_node, p_t=args.pt, seed=args.seed
     )
-    graph = generate_pa_tf(config)
+    graph, avg_cc = grow_with_clustering(config)
     write_edge_list(graph, args.out)
     meta = config.metadata()
     meta["generated_edges"] = graph.edge_count
     Path(str(args.out) + ".meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    print(
-        json.dumps(
-            {
-                "nodes": graph.node_count,
-                "edges": graph.edge_count,
-                "avg_cc": average_clustering_coefficient(graph),
-            },
-            sort_keys=True,
-        )
-    )
+    summary = {"nodes": graph.node_count, "edges": graph.edge_count, "avg_cc": avg_cc}
+    print(json.dumps(summary, sort_keys=True))
     return 0
 
 

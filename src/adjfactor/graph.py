@@ -1,11 +1,10 @@
-"""Undirected simple graph type (CSR), edge-list ingestion, triangle pass, clustering coefficients."""
+"""Undirected simple graph (CSR), edge-list ingestion, closed-wedge triangle kernel, clustering coefficients."""
 
 from __future__ import annotations
 
-import json
 import operator
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import IO, Collection, Iterable, Iterator, NamedTuple, Sequence
@@ -34,9 +33,6 @@ class IngestReport:
     duplicates_dropped: int
     nodes: int
     edges: int
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(asdict(self), indent=indent, sort_keys=True)
 
 
 class Graph:
@@ -522,22 +518,6 @@ def write_edge_list(graph: Graph, target: str | Path | IO[str]) -> None:
         return
     for u, v in graph.edges():
         target.write(f"{u} {v}\n")
-
-
-def local_clustering_coefficient(graph: Graph, v: int) -> float:
-    """Fraction of v's neighbor pairs that are themselves connected.
-
-    Degree-0 and degree-1 nodes return 0 so the all-node average stays
-    well-defined.
-    """
-    if not 0 <= v < graph.node_count:
-        raise ValueError(f"node {v} not in graph")
-    own = graph.neighbors(v)
-    k = len(own)
-    if k < 2:
-        return 0.0
-    links = np.isin(np.concatenate([graph.neighbors(u) for u in own]), own).sum() // 2
-    return int(links) / (k * (k - 1) / 2)
 
 
 def mean_local_clustering(triangles: Sequence[int], degrees: Sequence[int]) -> float:

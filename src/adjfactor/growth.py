@@ -11,7 +11,7 @@ or PA when there is none. Triangles are counted while the network grows.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -89,6 +89,7 @@ class CalibrationResult:
 
 
 _TF_TRIES = 3  # uniform draws from the hub's neighbors before the exact scan
+_MAX_ITERATIONS = 20  # regula falsi probes after the two bracket ends
 
 
 def _uniforms(rng: np.random.Generator) -> Iterator[float]:
@@ -158,7 +159,7 @@ def grow_with_clustering(config: GrowthConfig) -> tuple[Graph, float]:
     return Graph(neighbor_lists), mean_local_clustering(triangles, list(map(len, neighbor_lists)))
 
 
-def derive_growth_config(nodes: int, edges: int, seed: int = 0) -> GrowthConfig:
+def derive_growth_config(nodes: int, edges: int) -> GrowthConfig:
     """Match a real network's size: m from the edge/node ratio, ring seed.
 
     p_t starts at 0; calibrate it separately against the target clustering
@@ -168,7 +169,7 @@ def derive_growth_config(nodes: int, edges: int, seed: int = 0) -> GrowthConfig:
         raise ConfigError("nodes must be positive")
     m = max(1, round(edges / nodes))
     n0 = max(m, 3)
-    return GrowthConfig(n=max(nodes, n0), n0=n0, m=m, p_t=0.0, seed=seed)
+    return GrowthConfig(n=max(nodes, n0), n0=n0, m=m, p_t=0.0, seed=0)
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
@@ -193,8 +194,6 @@ def calibrate_pt(
     tolerance: float = 0.02,
     pilots: int = 5,
     seed: int = 0,
-    max_iterations: int = 20,
-    n0: int | None = None,
 ) -> CalibrationResult:
     """Find p_t whose pilot-mean clustering coefficient is within tolerance of the target.
 
@@ -207,7 +206,7 @@ def calibrate_pt(
         raise ConfigError("tolerance must be positive")
     if pilots < 1:
         raise ConfigError("pilots must be >= 1")
-    n0 = max(m, 3) if n0 is None else n0
+    n0 = max(m, 3)
     pilot_seeds = [derive_seed(seed, i) for i in range(pilots)]
     probes: list[list[float]] = []
 
@@ -238,7 +237,7 @@ def calibrate_pt(
     # bracket[0] holds [p_t, CC - target] below the target, bracket[1] above it
     bracket = [[0.0, cc_low - target_cc], [1.0, cc_high - target_cc]]
     last_side = -1
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, _MAX_ITERATIONS + 1):
         (low, f_low), (high, f_high) = bracket
         p_t = (low * f_high - high * f_low) / (f_high - f_low)
         cc = probe(p_t)
@@ -251,30 +250,8 @@ def calibrate_pt(
         last_side = side
     raise CalibrationError(
         f"no p_t within tolerance {tolerance} of target CC {target_cc} "
-        f"after {max_iterations} iterations"
+        f"after {_MAX_ITERATIONS} iterations"
     )
-
-
-def calibrated_config(
-    nodes: int,
-    edges: int,
-    target_cc: float,
-    tolerance: float = 0.02,
-    pilots: int = 5,
-    seed: int = 0,
-) -> tuple[GrowthConfig, CalibrationResult]:
-    """Derive a size-matched config and calibrate its p_t to the target CC."""
-    config = derive_growth_config(nodes, edges, seed=seed)
-    result = calibrate_pt(
-        config.n,
-        config.m,
-        target_cc,
-        tolerance=tolerance,
-        pilots=pilots,
-        seed=seed,
-        n0=config.n0,
-    )
-    return replace(config, p_t=result.p_t), result
 
 
 def degree_ccdf_slope(graph: Graph, d_min: int, d_max: int) -> float:

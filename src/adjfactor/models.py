@@ -39,6 +39,7 @@ EMG = "emg"
 PARAM_NAMES = {S_COMPLEX: ("a", "b", "c"), EMG: ("lam", "mu", "sigma")}
 
 _SQRT2 = math.sqrt(2.0)
+_N_STARTS = 16  # Halton starts of each multistart search
 
 # Chebyshev coefficients, in t = (y - 3)/(y + 3), of (y + 3)*erfcx(y) for
 # y >= 0; t maps [0, inf] onto [-1, 1], where the product runs from 3 to
@@ -200,9 +201,6 @@ class FitResult:
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(asdict(self), indent=indent, sort_keys=True)
-
-    def param_vector(self) -> list[float]:
-        return list(self.params.values())
 
 
 def model_function(model: str, params: Sequence[float] | dict, log_base: float = 10.0) -> Callable:
@@ -412,15 +410,14 @@ def _beats(fun: float, incumbent: float) -> bool:
 def _multistart_simplex(
     score: Callable[[np.ndarray], np.ndarray],
     bounds: list[tuple[float, float]],
-    n_starts: int,
 ) -> SimplexResult:
-    """Best of n_starts Nelder-Mead runs from a Halton grid, then re-polished.
+    """Best of the Nelder-Mead runs from `_N_STARTS` Halton starts, then re-polished.
 
     Restart polishing also unsticks runs that stalled on a clipped bound.
     """
     low = np.array([b[0] for b in bounds])
     high = np.array([b[1] for b in bounds])
-    starts = [(low + h * (high - low)).tolist() for h in _halton(n_starts, len(bounds))]
+    starts = [(low + h * (high - low)).tolist() for h in _halton(_N_STARTS, len(bounds))]
     best = None
     for result in _lockstep(score, starts, bounds, xatol=1e-10, fatol=1e-14):
         if best is None or _beats(result.fun, best.fun):
@@ -457,12 +454,7 @@ def _s_complex_projection(x: np.ndarray, observed: np.ndarray, log_base: float) 
     return project
 
 
-def fit(
-    model: str,
-    series: DistributionSeries,
-    log_base: float = 10.0,
-    n_starts: int = 16,
-) -> FitResult:
+def fit(model: str, series: DistributionSeries, log_base: float = 10.0) -> FitResult:
     """Least-squares fit of a model to a frequency series.
 
     The edge-level model is fitted on support >= 1 (its log is undefined at
@@ -483,9 +475,9 @@ def fit(
 
     if model == S_COMPLEX:
         project = _s_complex_projection(x, observed, log_base)
-        best = _multistart_simplex(lambda p: project(p)[1], [(0.0, 3.0), (1e-8, 2.0)], n_starts)
+        best = _multistart_simplex(lambda p: project(p)[1], [(0.0, 3.0), (1e-8, 2.0)])
         values = [*best.x, float(project(np.array([best.x]))[0][0, 0])]
-        restarts = n_starts
+        restarts = _N_STARTS
     else:
         x_max = float(x.max())
 
@@ -500,14 +492,14 @@ def fit(
 
         # trial points may sit where the model's discarded branches overflow
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            best = _multistart_simplex(score, [(1e-6, 5.0), (0.0, x_max), (0.0, x_max)], n_starts)
-            pinned = _multistart_simplex(score_exp, [(1e-6, 5.0), (0.0, x_max)], n_starts)
+            best = _multistart_simplex(score, [(1e-6, 5.0), (0.0, x_max), (0.0, x_max)])
+            pinned = _multistart_simplex(score_exp, [(1e-6, 5.0), (0.0, x_max)])
         if _beats(pinned.fun, best.fun):
             values = [*pinned.x, 0.0]
             best = pinned
         else:
             values = list(best.x)
-        restarts = 2 * n_starts
+        restarts = 2 * _N_STARTS
 
     params = dict(zip(PARAM_NAMES[model], values))
     predicted = model_function(model, values, log_base=log_base)(x)
@@ -527,16 +519,10 @@ def mnd(x, observed, model) -> float:
     """Mean normalized deviation: mean over support of |model - observed| / observed.
 
     Points where the observed value is 0 are excluded (the metric divides by
-    it). `model` may be a callable, a constant, or precomputed values.
+    it). `model` may be a constant or the model's values on x.
     """
-    x = np.asarray(x, dtype=float)
     observed = np.asarray(observed, dtype=float)
-    if callable(model):
-        predicted = np.asarray(model(x), dtype=float)
-    elif np.isscalar(model):
-        predicted = np.full_like(observed, float(model))
-    else:
-        predicted = np.asarray(model, dtype=float)
+    predicted = np.broadcast_to(np.asarray(model, dtype=float), observed.shape)
     mask = observed > 0.0
     if not mask.any():
         raise ValueError("no support points with positive observed value")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -229,7 +229,6 @@ def _process_network(
                 tolerance=config.calibration_tolerance,
                 pilots=config.calibration_pilots,
                 seed=derive_seed(config.seed, net_index, 0),
-                n0=base.n0,
             )
         finally:
             if executor is not None:

@@ -11,7 +11,8 @@ from itertools import combinations
 
 import numpy as np
 
-from adjfactor import Graph, IngestReport, ParseError, models
+from adjfactor import Graph, ParseError, models
+from adjfactor.graph import IngestReport
 
 
 def complete_graph(n: int) -> Graph:

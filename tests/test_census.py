@@ -16,13 +16,11 @@ from adjfactor import (
     census,
     enumerate_triangles,
     generate_pa_tf,
-    read_distribution_csv,
-    s_adjacency_factor,
     t_adjacency_factor,
     to_distribution,
-    write_census_csv,
     write_distribution_csv,
 )
+from adjfactor.census import read_distribution_csv, write_census_csv
 from adjfactor.graph import _closed_wedges
 from helpers import (
     brute_s_factor,
@@ -53,24 +51,27 @@ class TestTriangles:
         assert len(set(triangles)) == len(triangles)
 
 
+def edge_factor(graph: Graph, u: int, v: int) -> int:
+    """The S census factor of edge (u, v), u < v."""
+    c = census(graph, "s")
+    (row,) = np.flatnonzero((c.units == (u, v)).all(axis=1))
+    return int(c.factors[row])
+
+
 class TestEdgeFactor:
     def test_k3_edge(self):
-        assert s_adjacency_factor(complete_graph(3), 0, 1) == 1
+        assert edge_factor(complete_graph(3), 0, 1) == 1
 
     def test_three_flanking_triangles(self):
         # central edge 0-1 with three distinct apex nodes
         g = Graph.from_edges([(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
-        assert s_adjacency_factor(g, 0, 1) == 3
+        assert edge_factor(g, 0, 1) == 3
 
     def test_k4_edge(self):
-        assert s_adjacency_factor(complete_graph(4), 0, 1) == 2
-
-    def test_non_edge_rejected(self):
-        with pytest.raises(ValueError):
-            s_adjacency_factor(cycle_graph(5), 0, 2)
+        assert edge_factor(complete_graph(4), 0, 1) == 2
 
     def test_zero_for_triangle_free_edge(self):
-        assert s_adjacency_factor(cycle_graph(5), 0, 1) == 0
+        assert edge_factor(cycle_graph(5), 0, 1) == 0
 
 
 class TestTriangleFactor:
@@ -97,14 +98,18 @@ class TestTriangleFactor:
 
 class TestCensus:
     def test_k4_edges(self):
-        c = census(complete_graph(4), "S")
+        c = census(complete_graph(4), "s")
         assert len(c) == 6
         assert (c.factors == 2).all()
 
     def test_k4_triangles(self):
-        c = census(complete_graph(4), "T")
+        c = census(complete_graph(4), "t")
         assert len(c) == 4
         assert (c.factors == 0).all()
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            census(complete_graph(4), "S")
 
     def test_triangle_free_graph_yields_empty_t_census(self):
         assert len(census(cycle_graph(5), "t")) == 0
@@ -296,7 +301,7 @@ class TestDistribution:
     def test_frequencies_sum_to_one(self):
         series = to_distribution(census(er_graph(30, 0.3, seed=3), "s"))
         assert abs(series.freq.sum() - 1.0) < 1e-12
-        assert series.total_units() == er_graph(30, 0.3, seed=3).edge_count
+        assert series.counts.sum() == er_graph(30, 0.3, seed=3).edge_count
 
     def test_csv_round_trip(self):
         series = to_distribution(census(er_graph(24, 0.3, seed=7), "s"))

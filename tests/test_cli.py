@@ -95,6 +95,7 @@ class TestGenerate:
         summary = json.loads(capsys.readouterr().out)
         assert summary["nodes"] == 200
         assert summary["edges"] == 3 + 2 * 197
+        assert summary["avg_cc"] == adjfactor.average_clustering_coefficient(adjfactor.load_edge_list(out)[0])
         meta = json.loads((tmp_path / "grown.txt.meta.json").read_text())
         assert meta["seed"] == 9 and meta["seed_topology"] == "ring"
 

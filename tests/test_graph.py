@@ -14,11 +14,10 @@ from adjfactor import (
     census,
     generate_pa_tf,
     load_edge_list,
-    local_clustering_coefficient,
-    parse_edge_list,
     write_edge_list,
 )
 from adjfactor import graph as graph_module
+from adjfactor.graph import parse_edge_list
 from helpers import complete_graph, er_graph, path_graph
 
 
@@ -280,24 +279,15 @@ class TestGraphType:
 
 
 class TestClustering:
-    def test_triangle_vertex(self):
-        g = complete_graph(3)
-        for v in range(3):
-            assert local_clustering_coefficient(g, v) == 1.0
-
-    def test_path_middle(self):
-        assert local_clustering_coefficient(path_graph(3), 1) == 0.0
-
     def test_hub_with_one_neighbor_edge(self):
+        # local values 1/3 at the hub, 1 at both ends of its neighbor edge, 0 at the leaf
         g = Graph.from_edges([(0, 1), (0, 2), (0, 3), (1, 2)])
-        assert local_clustering_coefficient(g, 0) == pytest.approx(1 / 3)
+        assert average_clustering_coefficient(g) == pytest.approx((1 / 3 + 1 + 1 + 0) / 4)
 
     def test_degree_one_is_zero(self):
-        assert local_clustering_coefficient(path_graph(3), 0) == 0.0
-
-    def test_invalid_node(self):
-        with pytest.raises(ValueError):
-            local_clustering_coefficient(path_graph(3), 7)
+        # a triangle and a separate edge: the edge's two ends count as 0 in the mean
+        g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (3, 4)])
+        assert average_clustering_coefficient(g) == 3 / 5
 
     def test_average_k3(self):
         assert average_clustering_coefficient(complete_graph(3)) == 1.0
@@ -306,10 +296,13 @@ class TestClustering:
         assert average_clustering_coefficient(path_graph(3)) == 0.0
 
     def test_average_sums_local_values_in_node_order(self):
+        nx = pytest.importorskip("networkx")
         g = generate_pa_tf(GrowthConfig(n=3000, n0=3, m=3, p_t=0.5, seed=1))
+        h = nx.Graph(g.edges())
+        local = nx.clustering(h)
         total = 0.0
         for v in range(g.node_count):
-            total += local_clustering_coefficient(g, v)
+            total += local[v]
         assert average_clustering_coefficient(g) == total / g.node_count
 
     def test_average_empty_graph(self):
@@ -319,6 +312,4 @@ class TestClustering:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_coefficients_in_unit_interval(self, seed):
         g = er_graph(30, 0.3, seed=seed)
-        for v in range(g.node_count):
-            assert 0.0 <= local_clustering_coefficient(g, v) <= 1.0
         assert 0.0 <= average_clustering_coefficient(g) <= 1.0

@@ -6,12 +6,10 @@ from adjfactor import (
     GrowthConfig,
     average_clustering_coefficient,
     calibrate_pt,
-    calibrated_config,
-    derive_growth_config,
-    derive_seed,
     generate_pa_tf,
     growth,
 )
+from adjfactor.growth import derive_growth_config, derive_seed
 
 
 class TestConfig:
@@ -185,11 +183,6 @@ class TestCalibrate:
         assert result.iterations <= 20
         assert 0.0 < result.p_t < 1.0
 
-    def test_calibrated_config_roundtrip(self):
-        config, result = calibrated_config(600, 1200, 0.25, tolerance=0.03, pilots=3, seed=2)
-        assert config.p_t == result.p_t
-        assert config.m == 2
-
     @staticmethod
     def known_curve(n, n0, m, p_t, pilot_seeds):
         return 0.05 + 0.4 * p_t**2
@@ -231,10 +224,18 @@ class TestCalibrate:
         assert info.value.achievable_cc == pytest.approx(achievable)
 
     def test_iteration_budget_exhausted(self, monkeypatch):
-        monkeypatch.setattr(growth, "_pilot_mean_cc", self.known_curve)
-        with pytest.raises(CalibrationError) as info:
-            calibrate_pt(1000, 2, 0.25, tolerance=1e-9, pilots=3, seed=0, max_iterations=2)
+        # a curve that steps over the target: no p_t comes within tolerance
+        calls = []
+
+        def step_curve(n, n0, m, p_t, pilot_seeds):
+            calls.append(p_t)
+            return self.known_curve(n, n0, m, float(p_t >= 0.5), pilot_seeds)
+
+        monkeypatch.setattr(growth, "_pilot_mean_cc", step_curve)
+        with pytest.raises(CalibrationError, match="after 20 iterations") as info:
+            calibrate_pt(1000, 2, 0.25, tolerance=0.005, pilots=3, seed=0)
         assert info.value.achievable_cc is None
+        assert len(calls) == 2 + 20
 
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):

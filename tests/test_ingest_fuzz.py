@@ -7,7 +7,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from adjfactor import ParseError, load_edge_list, parse_edge_list  # noqa: E402
+from adjfactor import ParseError, load_edge_list  # noqa: E402
+from adjfactor.graph import parse_edge_list  # noqa: E402
 from helpers import reference_parse  # noqa: E402
 
 # Text from digits, signs, comment prefixes, extra delimiters, whitespace and

@@ -9,7 +9,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from adjfactor import average_clustering_coefficient, census, parse_edge_list  # noqa: E402
+from adjfactor import average_clustering_coefficient, census  # noqa: E402
+from adjfactor.graph import parse_edge_list  # noqa: E402
 
 # edge lines over a few labels, at least one of them not a self-loop
 PAIRS = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=40).filter(

@@ -19,11 +19,10 @@ from adjfactor import (
     erfc,
     fit,
     mnd,
-    model_function,
-    reference_constant,
     s_complex_model,
 )
 from adjfactor.census import DistributionSeries
+from adjfactor.models import model_function, reference_constant
 from helpers import reference_emg, reference_erfcx, series_erfc
 
 TABLE_S_PARAMS = [
@@ -195,7 +194,7 @@ class TestFit:
         x = np.arange(1, 30)
         series = series_from(x, s_complex_model(x, 0.3, 0.6, 0.25))
         result = fit("s_complex", series)
-        recomputed = mnd(x, series.freq, model_function(result.model, result.params))
+        recomputed = mnd(x, series.freq, model_function(result.model, result.params)(x))
         assert abs(recomputed - result.mnd) <= 1e-9
 
 
@@ -211,7 +210,7 @@ class TestMnd:
     def test_exact_model_parameters(self):
         x = np.arange(0, 50)
         freq = emg_model(x, 0.07, 10.86, 5.06)
-        assert mnd(x, freq, lambda t: emg_model(t, 0.07, 10.86, 5.06)) <= 1e-9
+        assert mnd(x, freq, emg_model(x, 0.07, 10.86, 5.06)) <= 1e-9
 
     def test_constant_model(self):
         assert mnd([1, 2], [0.1, 0.1], 0.1) == 0.0
@@ -487,7 +486,7 @@ def _three_parameter_search(series):
     def score(p):
         return models._sse(s_complex_model(x, p[:, 0:1], p[:, 1:2], p[:, 2:3]), observed)
 
-    return models._multistart_simplex(score, [(0.0, 3.0), (1e-8, 2.0), (1e-8, 1.0)], 16)
+    return models._multistart_simplex(score, [(0.0, 3.0), (1e-8, 2.0), (1e-8, 1.0)])
 
 
 class TestSComplexAgainstThreeParameterSearch:
@@ -522,15 +521,15 @@ class TestNanNeverWins:
             _batched(_bowl_nan_lower_left), [[0.5, 1 / 3]], bounds, 1e-10, 1e-14
         )
         assert math.isnan(first.fun)  # Halton start 0 lies in the NaN region
-        best = models._multistart_simplex(_batched(_bowl_nan_lower_left), bounds, 16)
+        best = models._multistart_simplex(_batched(_bowl_nan_lower_left), bounds)
         assert best.fun < 1e-12
         assert best.x == pytest.approx([0.9, 0.9], abs=1e-6)
 
     def test_fit_takes_pinned_family_over_nan(self, monkeypatch):
         original = models._multistart_simplex
 
-        def nan_unless_pinned(score, bounds, n_starts):
-            result = original(score, bounds, n_starts)
+        def nan_unless_pinned(score, bounds):
+            result = original(score, bounds)
             return result if len(bounds) == 2 else result._replace(fun=float("nan"))
 
         monkeypatch.setattr(models, "_multistart_simplex", nan_unless_pinned)
@@ -618,7 +617,7 @@ class TestQuietFits:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             result = fit("emg", series)
-        assert np.isfinite(result.param_vector()).all()
+        assert np.isfinite(list(result.params.values())).all()
         assert result.sse < 0.01
 
     @pytest.mark.parametrize("sigma", [1e-170, 5e-324])

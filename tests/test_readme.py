@@ -1,0 +1,16 @@
+"""README's library example runs as written, so the documented API cannot go stale."""
+
+import re
+from pathlib import Path
+
+from adjfactor import GrowthConfig, generate_pa_tf, write_edge_list
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_example_runs(tmp_path, monkeypatch, capsys):
+    (example,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    write_edge_list(generate_pa_tf(GrowthConfig(n=300, n0=3, m=2, p_t=0.5, seed=7)), tmp_path / "mynet.txt")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(example, str(README), "exec"), {})
+    assert capsys.readouterr().out.count("\n") == 2
