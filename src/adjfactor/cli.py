@@ -18,7 +18,7 @@ from .census import census, read_distribution_csv, to_distribution, write_census
 from .graph import DataError, average_clustering_coefficient, load_edge_list, write_edge_list
 from .growth import CalibrationError, ConfigError, GrowthConfig, calibrate_pt, grow_with_clustering
 from .models import EMG, S_COMPLEX, FitError, fit
-from .pipeline import ExperimentConfig, run_experiment
+from .pipeline import ExperimentConfig, _write_json, run_experiment
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -29,6 +29,14 @@ _MODEL_ALIASES = {"s": S_COMPLEX, "t": EMG, S_COMPLEX: S_COMPLEX, EMG: EMG}
 
 def _log_base(text: str) -> float:
     return 10.0 if text == "10" else math.e
+
+
+def _write_output(payload: dict, out: str | None) -> None:
+    """Write payload as JSON to the file out, or the same text to stdout."""
+    if out:
+        _write_json(Path(out), payload)
+    else:
+        print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def cmd_summarize(args: argparse.Namespace) -> int:
@@ -76,9 +84,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     write_edge_list(graph, args.out)
     meta = config.metadata()
     meta["generated_edges"] = graph.edge_count
-    Path(str(args.out) + ".meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(Path(str(args.out) + ".meta.json"), meta)
     summary = {"nodes": graph.node_count, "edges": graph.edge_count, "avg_cc": avg_cc}
     print(json.dumps(summary, sort_keys=True))
     return 0
@@ -93,22 +99,14 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         pilots=args.pilots,
         seed=args.seed,
     )
-    text = json.dumps(asdict(result), indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    _write_output(asdict(result), args.out)
     return 0
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     series = read_distribution_csv(args.series)
     result = fit(_MODEL_ALIASES[args.model], series, log_base=_log_base(args.log_base))
-    text = result.to_json(indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    _write_output(asdict(result), args.out)
     return 0
 
 

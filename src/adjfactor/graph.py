@@ -5,9 +5,8 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
-from typing import IO, Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,31 +39,26 @@ class Graph:
 
     Adjacency is held once, in compressed sparse row (CSR) form: the
     neighbors of v are `indices[indptr[v]:indptr[v + 1]]`, in ascending
-    order, and both int64 arrays are read-only. The constructor takes one
-    collection of neighbor ids per node (a repeated id counts once) and
-    rejects ids out of range, self-loops and asymmetric adjacency with array
-    operations. `neighbors(v)` and `edges()` give ascending order. Instances
-    are safe for concurrent reads; all mutation happens before construction.
+    order, and both int64 arrays are read-only. Every graph is built from
+    unique, in-range, loop-free edge pairs by `_from_pairs`, which checks
+    none of this: `from_edges` checks the pairs it is given, the edge-list
+    parsers clean theirs, and growth makes them so. `neighbors(v)` and
+    `edges()` give ascending order. Instances are safe for concurrent reads;
+    all mutation happens before construction.
     """
 
     # memoryviews of the CSR arrays: an item read gives a Python int, which keeps
     # the per-call lookups (has_edge, degree, neighbors) free of numpy overhead
     __slots__ = ("_indptr", "_indices")
 
-    def __init__(self, adjacency: Sequence[Collection[int]]):
-        n = len(adjacency)
-        degrees = np.fromiter(map(len, adjacency), np.int64, n)
-        try:
-            targets = np.fromiter(chain.from_iterable(adjacency), np.int64, int(degrees.sum()))
-        except OverflowError:
-            raise ValueError("neighbor id out of range") from None
-        self._indptr, self._indices = _csr(np.repeat(np.arange(n), degrees), targets, n)
-
     @classmethod
-    def _from_pairs(cls, u: np.ndarray, v: np.ndarray, node_count: int) -> "Graph":
-        """Graph of the undirected pairs (u[i], v[i]), each pair given once."""
-        graph = cls.__new__(cls)
-        graph._indptr, graph._indices = _csr(np.concatenate((u, v)), np.concatenate((v, u)), node_count)
+    def _from_pairs(cls, u: np.ndarray, v: np.ndarray, n: int) -> "Graph":
+        """Graph on n nodes of the undirected pairs (u[i], v[i]): unique, in range, loop-free, unchecked."""
+        sources, targets = np.divmod(np.sort(np.concatenate((u * n + v, v * n + u))), n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sources, minlength=n), out=indptr[1:])
+        graph = cls()
+        graph._indptr, graph._indices = _frozen_view(indptr), _frozen_view(targets)
         return graph
 
     @classmethod
@@ -164,25 +158,6 @@ def _frozen_view(array: np.ndarray) -> memoryview:
     array = np.ascontiguousarray(array, dtype=np.int64)
     array.flags.writeable = False
     return memoryview(array)
-
-
-def _csr(sources: np.ndarray, targets: np.ndarray, n: int) -> tuple[memoryview, memoryview]:
-    """Validated CSR of directed entries sources[i] -> targets[i]; repeats collapse."""
-    bad = np.flatnonzero((targets < 0) | (targets >= n))
-    if len(bad):
-        raise ValueError(f"neighbor {targets[bad[0]]} of node {sources[bad[0]]} out of range")
-    loops = np.flatnonzero(sources == targets)
-    if len(loops):
-        raise ValueError(f"self-loop at node {sources[loops[0]]}")
-    keys = _sorted_unique(sources * n + targets)
-    sources, targets = np.divmod(keys, n)
-    reverse = targets * n + sources
-    if not np.array_equal(np.sort(reverse), keys):
-        first = np.flatnonzero(_find(keys, reverse) < 0)[0]
-        raise ValueError(f"node {targets[first]} is a neighbor of {sources[first]} but not vice versa")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(sources, minlength=n), out=indptr[1:])
-    return _frozen_view(indptr), _frozen_view(targets)
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:

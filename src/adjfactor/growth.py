@@ -98,8 +98,8 @@ def _uniforms(rng: np.random.Generator) -> Iterator[float]:
         yield from rng.random(4096).tolist()
 
 
-def _grow(config: GrowthConfig) -> tuple[list[list[int]], list[int]]:
-    """Grow a network; return neighbor lists in insertion order and per-node triangle counts."""
+def _grow(config: GrowthConfig) -> tuple[list[int], list[int], list[int]]:
+    """Grow a network; return both ends of each edge in growth order, per-node degrees and triangle counts."""
     n, n0, m, p_t = config.n, config.n0, config.m, config.p_t
     draw = _uniforms(np.random.default_rng(config.seed)).__next__
     neighbor_lists: list[list[int]] = [[] for _ in range(n)]
@@ -139,13 +139,12 @@ def _grow(config: GrowthConfig) -> tuple[list[list[int]], list[int]]:
                 target = w
             add_edge(v, w)
 
-    return neighbor_lists, triangles
+    return endpoints, list(map(len, neighbor_lists)), triangles
 
 
 def generate_pa_tf(config: GrowthConfig) -> Graph:
     """Grow a network under the config. Deterministic given the seed."""
-    neighbor_lists, _ = _grow(config)
-    return Graph(neighbor_lists)
+    return grow_with_clustering(config)[0]
 
 
 def grow_with_clustering(config: GrowthConfig) -> tuple[Graph, float]:
@@ -155,8 +154,9 @@ def grow_with_clustering(config: GrowthConfig) -> tuple[Graph, float]:
     the same `mean_local_clustering` as `average_clustering_coefficient`, so
     the two agree bit for bit without a triangle pass over the graph.
     """
-    neighbor_lists, triangles = _grow(config)
-    return Graph(neighbor_lists), mean_local_clustering(triangles, list(map(len, neighbor_lists)))
+    endpoints, degrees, triangles = _grow(config)
+    ends = np.array(endpoints, dtype=np.int64)  # unique, loop-free pairs: w != v and w not in own
+    return Graph._from_pairs(ends[0::2], ends[1::2], config.n), mean_local_clustering(triangles, degrees)
 
 
 def derive_growth_config(nodes: int, edges: int) -> GrowthConfig:
@@ -182,8 +182,8 @@ def _pilot_mean_cc(n: int, n0: int, m: int, p_t: float, pilot_seeds: Sequence[in
     """Pilot-mean average CC from growth-time triangle counts."""
     values = []
     for s in pilot_seeds:
-        neighbor_lists, triangles = _grow(GrowthConfig(n=n, n0=n0, m=m, p_t=p_t, seed=s))
-        values.append(mean_local_clustering(triangles, list(map(len, neighbor_lists))))
+        _, degrees, triangles = _grow(GrowthConfig(n=n, n0=n0, m=m, p_t=p_t, seed=s))
+        values.append(mean_local_clustering(triangles, degrees))
     return float(np.mean(values))
 
 

@@ -24,9 +24,8 @@ The module needs numpy alone, as the t-test's tail in `stats` needs only
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from operator import add
 from typing import Callable, Generator, NamedTuple, Sequence
 
@@ -198,9 +197,6 @@ class FitResult:
     support_max: float
     converged: bool
     restarts: int
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(asdict(self), indent=indent, sort_keys=True)
 
 
 def model_function(model: str, params: Sequence[float] | dict, log_base: float = 10.0) -> Callable:

@@ -21,7 +21,8 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,6 @@ from .models import (
     PARAM_NAMES,
     S_COMPLEX,
     FitError,
-    FitResult,
     fit,
     model_function,
     reference_constant,
@@ -77,15 +77,11 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         """Config as recorded in the report: semantics only, no execution details."""
-        return {
-            "datasets": [str(p) for p in self.datasets],
-            "replicas": self.replicas,
-            "seed": self.seed,
-            "calibration_tolerance": self.calibration_tolerance,
-            "calibration_pilots": self.calibration_pilots,
-            "log_base": self.log_base,
-            "reference_rule": self.reference_rule,
+        echo = {
+            f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("out_dir", "workers")
         }
+        echo["datasets"] = [str(p) for p in self.datasets]
+        return echo
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -101,62 +97,55 @@ def _write_curve_csv(path: Path, x: np.ndarray, values: np.ndarray) -> None:
 
 
 def _fit_both_kinds(graph: Graph, prefix: str, out_dir: Path, log_base: float) -> dict:
-    """Census, distribution CSVs, fits, and curve CSVs for one network."""
-    results: dict[str, dict] = {}
+    """Census, distribution CSV, fit and curve CSV of each kind for one network.
+
+    Returns {kind: (series, record)}; the record holds the fit and the file
+    names as the report lists them.
+    """
+    fitted = {}
     for kind in ("s", "t"):
         series = to_distribution(census(graph, kind))
-        csv_name = f"{prefix}_{kind}_distribution.csv"
-        write_distribution_csv(series, out_dir / csv_name)
-        model = MODEL_BY_KIND[kind]
-        result = fit(model, series, log_base=log_base)
-        fit_name = f"{prefix}_{kind}_fit.json"
-        _write_json(out_dir / fit_name, asdict(result))
-        x, _ = series.restrict(result.support_min)
-        curve_name = f"{prefix}_{kind}_model_curve.csv"
-        _write_curve_csv(
-            out_dir / curve_name, x, model_function(model, result.params, log_base=log_base)(x)
-        )
-        results[kind] = {
-            "series": series,
-            "fit": result,
-            "distribution_csv": csv_name,
-            "fit_json": fit_name,
-            "curve_csv": curve_name,
+        files = {
+            "distribution_csv": f"{prefix}_{kind}_distribution.csv",
+            "fit_json": f"{prefix}_{kind}_fit.json",
         }
-    return results
+        write_distribution_csv(series, out_dir / files["distribution_csv"])
+        model = MODEL_BY_KIND[kind]
+        result = asdict(fit(model, series, log_base=log_base))
+        _write_json(out_dir / files["fit_json"], result)
+        x, _ = series.restrict(result["support_min"])
+        _write_curve_csv(
+            out_dir / f"{prefix}_{kind}_model_curve.csv",
+            x,
+            model_function(model, result["params"], log_base=log_base)(x),
+        )
+        fitted[kind] = series, {"fit": result, **files}
+    return fitted
 
 
-def _replica_task(args: tuple) -> dict:
+def _replica_task(config: GrowthConfig, index: int, out_dir: Path, log_base: float) -> dict:
     """Generate one replica, census and fit it, and persist its artifacts.
 
-    Top-level so it can run in a worker process; output depends only on args.
+    Top-level so it can run in a worker process; output depends only on the arguments.
     """
-    config_dict, replica_index, out_dir_text, log_base = args
-    out_dir = Path(out_dir_text)
-    config = GrowthConfig(**config_dict)
     graph, avg_cc = grow_with_clustering(config)
-    prefix = f"replica_{replica_index:02d}"
+    prefix = f"replica_{index:02d}"
     write_edge_list(graph, out_dir / f"{prefix}.edges")
-    fitted = _fit_both_kinds(graph, prefix, out_dir, log_base)
     entry = {
-        "replica": replica_index,
+        "replica": index,
         "seed": config.seed,
         "edges_file": f"{prefix}.edges",
         "nodes": graph.node_count,
         "edges": graph.edge_count,
         "avg_cc": avg_cc,
     }
-    for kind in ("s", "t"):
-        entry[kind] = {
-            "fit": asdict(fitted[kind]["fit"]),
-            "distribution_csv": fitted[kind]["distribution_csv"],
-            "fit_json": fitted[kind]["fit_json"],
-        }
+    for kind, (_, record) in _fit_both_kinds(graph, prefix, out_dir, log_base).items():
+        entry[kind] = record
     return entry
 
 
 def _aggregate_model(
-    real_fit: FitResult,
+    real_fit: dict,
     real_series,
     replica_entries: list[dict],
     kind: str,
@@ -164,23 +153,23 @@ def _aggregate_model(
 ) -> dict:
     """Replica averages, reference baseline, and per-parameter t-tests."""
     replica_fits = [entry[kind]["fit"] for entry in replica_entries]
-    param_names = list(real_fit.params.keys())
+    param_names = list(real_fit["params"].keys())
     grown_mean_params = {
         name: float(np.mean([rf["params"][name] for rf in replica_fits])) for name in param_names
     }
     grown_mean_mnd = float(np.mean([rf["mnd"] for rf in replica_fits]))
-    x, observed = real_series.restrict(real_fit.support_min)
+    x, observed = real_series.restrict(real_fit["support_min"])
     constant, ref_mnd = reference_constant(x, observed, rule=reference_rule)
     t_tests = {}
     for name in param_names:
         samples = [rf["params"][name] for rf in replica_fits]
         if len(samples) >= 2:
-            t_tests[name] = one_sample_t_test(samples, real_fit.params[name]).to_dict()
+            t_tests[name] = one_sample_t_test(samples, real_fit["params"][name]).to_dict()
         else:
             t_tests[name] = None
     return {
-        "real": asdict(real_fit),
-        "replicas": [rf for rf in replica_fits],
+        "real": real_fit,
+        "replicas": replica_fits,
         "grown_mean_params": grown_mean_params,
         "grown_mean_mnd": grown_mean_mnd,
         "reference": {"constant": constant, "mnd": ref_mnd},
@@ -245,31 +234,23 @@ def _process_network(
         _write_json(net_dir / "growth_config.json", entry["growth"])
 
         stage = "replicas"
-        tasks = [
-            (
-                asdict(replace(grown_config, seed=derive_seed(config.seed, net_index, 1 + r))),
-                r,
-                str(net_dir),
-                config.log_base,
-            )
+        configs = [
+            replace(grown_config, seed=derive_seed(config.seed, net_index, 1 + r))
             for r in range(config.replicas)
         ]
-        if executor is None:
-            replica_entries = [_replica_task(task) for task in tasks]
-        else:
-            replica_entries = list(executor.map(_replica_task, tasks))
+        replica_entries = list(
+            (executor.map if executor else map)(
+                _replica_task, configs, range(config.replicas), repeat(net_dir), repeat(config.log_base)
+            )
+        )
         entry["replicas"] = replica_entries
 
         stage = "aggregate"
         entry["models"] = {
             MODEL_BY_KIND[kind]: _aggregate_model(
-                real[kind]["fit"],
-                real[kind]["series"],
-                replica_entries,
-                kind,
-                config.reference_rule,
+                record["fit"], series, replica_entries, kind, config.reference_rule
             )
-            for kind in ("s", "t")
+            for kind, (series, record) in real.items()
         }
         return entry, None
     except (FitError, CalibrationError) as exc:

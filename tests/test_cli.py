@@ -202,6 +202,25 @@ class TestFit:
             main(["fit", str(path), "--model", "s"])
 
 
+@pytest.mark.parametrize("command", ["fit", "calibrate"])
+def test_out_file_holds_the_printed_json(command, tmp_path, capsys):
+    # --out and stdout are the two branches of one JSON writer: same text, same final newline
+    if command == "fit":
+        series = tmp_path / "series.csv"
+        series.write_text("factor,count,freq\n" + "".join(f"{x},1,{0.5**x!r}\n" for x in range(1, 12)))
+        argv = ["fit", str(series), "--model", "t"]
+    else:
+        argv = ["calibrate", "--nodes", "300", "-m", "2", "--target-cc", "0.2",
+                "--tolerance", "0.05", "--pilots", "2", "--seed", "4"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert printed.endswith("}\n")
+    assert out.read_bytes() == printed.encode("utf-8")
+
+
 class TestUsage:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1

@@ -234,20 +234,6 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph.from_edges([(0, 1), (1, 0)])
 
-    @pytest.mark.parametrize(
-        "adjacency",
-        [[[1], []], [[1], [0, 2]], [[-1]], [[0]]],
-        ids=["asymmetric", "out_of_range", "negative", "self_loop"],
-    )
-    def test_constructor_rejects_invalid_adjacency(self, adjacency):
-        with pytest.raises(ValueError):
-            Graph(adjacency)
-
-    def test_constructor_sorts_and_collapses_repeated_ids(self):
-        g = Graph([[2, 1, 1], {0}, (0, 0)])
-        assert (g.neighbors(0), g.neighbors(1), g.neighbors(2), g.edge_count) == ((1, 2), (0,), (0,), 2)
-        assert g == Graph.from_edges([(0, 1), (0, 2)])
-
     @pytest.mark.parametrize("v", [-1, 3])
     def test_node_out_of_range_has_no_row(self, v):
         g = path_graph(3)
@@ -307,7 +293,7 @@ class TestClustering:
 
     def test_average_empty_graph(self):
         with pytest.raises(ValueError):
-            average_clustering_coefficient(Graph([]))
+            average_clustering_coefficient(Graph.from_edges([]))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_coefficients_in_unit_interval(self, seed):

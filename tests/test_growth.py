@@ -3,6 +3,7 @@ import pytest
 
 from adjfactor import (
     CalibrationError,
+    Graph,
     GrowthConfig,
     average_clustering_coefficient,
     calibrate_pt,
@@ -109,6 +110,9 @@ class TestGrowthInternals:
         graph, cc = growth.grow_with_clustering(config)
         assert graph == generate_pa_tf(config)
         assert cc == average_clustering_coefficient(graph)
+        # the grown pairs pass the checks that Graph._from_pairs leaves out: no self-loop, no repeat
+        endpoints, _, _ = growth._grow(config)
+        assert Graph.from_edges(zip(endpoints[0::2], endpoints[1::2]), config.n) == graph
 
     def test_tf_partner_uniform_over_target_neighbors(self):
         # ring 0-1-2-3; node 4 attaches to a uniform ring node t, then (p_t=1)
@@ -116,8 +120,9 @@ class TestGrowthInternals:
         seeds = 4000
         counts: dict[tuple[int, int], int] = {}
         for seed in range(seeds):
-            neighbor_lists, _ = growth._grow(GrowthConfig(n=5, n0=4, m=2, p_t=1.0, seed=seed))
-            outcome = tuple(neighbor_lists[4])
+            endpoints, _, _ = growth._grow(GrowthConfig(n=5, n0=4, m=2, p_t=1.0, seed=seed))
+            assert endpoints[-4::2] == [4, 4]  # node 4 adds the last two edges
+            outcome = tuple(endpoints[-3::2])
             counts[outcome] = counts.get(outcome, 0) + 1
         expected = {(t, (t + d) % 4) for t in range(4) for d in (1, 3)}
         assert set(counts) == expected
@@ -128,13 +133,18 @@ class TestGrowthInternals:
         # with n0=6 and m=5 most neighbors of a PA target are already adjacent
         # to the incoming node, so TF draws miss and the exact scan runs
         config = GrowthConfig(n=40, n0=6, m=5, p_t=1.0, seed=3)
-        neighbor_lists, triangles = growth._grow(config)
+        endpoints, degrees, triangles = growth._grow(config)
+        neighbor_lists = [[] for _ in range(config.n)]
+        for u, w in zip(endpoints[0::2], endpoints[1::2]):
+            neighbor_lists[u].append(w)
+            neighbor_lists[w].append(u)
+        assert degrees == list(map(len, neighbor_lists))
         for v in range(config.n0, config.n):
             own_edges = [u for u in neighbor_lists[v] if u < v]
             assert len(own_edges) == config.m
             assert len(set(neighbor_lists[v])) == len(neighbor_lists[v])
             assert v not in neighbor_lists[v]
-        assert growth._grow(config) == (neighbor_lists, triangles)
+        assert growth._grow(config) == (endpoints, degrees, triangles)
 
 
 class TestDeriveConfig:

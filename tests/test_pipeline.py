@@ -92,8 +92,15 @@ class TestReportContents:
 
     def test_report_excludes_execution_details(self, experiment_run):
         report, _, _ = experiment_run
-        assert "workers" not in report["config"]
-        assert "out_dir" not in report["config"]
+        assert set(report["config"]) == {
+            "datasets",
+            "replicas",
+            "seed",
+            "calibration_tolerance",
+            "calibration_pilots",
+            "log_base",
+            "reference_rule",
+        }
 
 
 class TestSingleReplica:
