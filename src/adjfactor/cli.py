@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .census import census, read_distribution_csv, to_distribution, write_census_csv, write_distribution_csv
 from .graph import DataError, average_clustering_coefficient, load_edge_list, write_edge_list
-from .growth import CalibrationError, ConfigError, GrowthConfig, calibrate_pt, grow_with_clustering
+from .growth import CalibrationError, ConfigError, GrowthConfig, calibrate_pt, generate_pa_tf
 from .models import EMG, S_COMPLEX, FitError, fit
 from .pipeline import ExperimentConfig, _write_json, run_experiment
 
@@ -80,11 +80,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     config = GrowthConfig(
         n=args.nodes, n0=n0, m=args.edges_per_node, p_t=args.pt, seed=args.seed
     )
-    graph, avg_cc = grow_with_clustering(config)
+    graph = generate_pa_tf(config)
     write_edge_list(graph, args.out)
     meta = config.metadata()
     meta["generated_edges"] = graph.edge_count
     _write_json(Path(str(args.out) + ".meta.json"), meta)
+    avg_cc = average_clustering_coefficient(graph)
     summary = {"nodes": graph.node_count, "edges": graph.edge_count, "avg_cc": avg_cc}
     print(json.dumps(summary, sort_keys=True))
     return 0

@@ -6,7 +6,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -495,22 +495,19 @@ def write_edge_list(graph: Graph, target: str | Path | IO[str]) -> None:
         target.write(f"{u} {v}\n")
 
 
-def mean_local_clustering(triangles: Sequence[int], degrees: Sequence[int]) -> float:
-    """Mean of t / (k(k-1)/2) over nodes, 0 where k < 2, summed strictly in node order.
-
-    The sequential sum keeps the result bit-identical to a plain loop;
-    `np.sum` adds pairwise and the builtin `sum` compensates on Python 3.12+.
-    """
-    t = np.asarray(triangles, dtype=np.float64)
-    k = np.asarray(degrees, dtype=np.float64)
-    local = np.zeros(len(t))
-    np.divide(t, k * (k - 1) / 2, out=local, where=k >= 2)
-    return float(np.add.accumulate(local)[-1]) / len(t)
-
-
 def average_clustering_coefficient(graph: Graph) -> float:
-    """Arithmetic mean of the local clustering coefficient over all nodes."""
+    """Arithmetic mean of the local clustering coefficient over all nodes.
+
+    A node's coefficient is t / (k(k-1)/2), 0 where k < 2. The mean sums them
+    strictly in node order, which keeps the result bit-identical to a plain
+    loop; `np.sum` adds pairwise and the builtin `sum` compensates on
+    Python 3.12+.
+    """
     if graph.node_count == 0:
         raise DataError("empty graph")
     per_node = np.bincount(np.concatenate(_closed_wedges(graph).corners()), minlength=graph.node_count)
-    return mean_local_clustering(per_node, np.diff(graph.indptr))
+    t = np.asarray(per_node, dtype=np.float64)
+    k = np.asarray(np.diff(graph.indptr), dtype=np.float64)
+    local = np.zeros(len(t))
+    np.divide(t, k * (k - 1) / 2, out=local, where=k >= 2)
+    return float(np.add.accumulate(local)[-1]) / len(t)

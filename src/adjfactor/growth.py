@@ -5,7 +5,7 @@ Each incoming node receives exactly m edges (Holme & Kim, PRE 65, 026107,
 of all edge endpoints, a degree-proportional draw; ineligible targets are
 redrawn. Before each further edge a coin with probability p_t makes it a
 triad-formation edge to a uniform non-adjacent neighbor of the last PA target,
-or PA when there is none. Triangles are counted while the network grows.
+or PA when there is none.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, mean_local_clustering
+from .graph import Graph, average_clustering_coefficient
 
 
 class ConfigError(ValueError):
@@ -98,23 +98,14 @@ def _uniforms(rng: np.random.Generator) -> Iterator[float]:
         yield from rng.random(4096).tolist()
 
 
-def _grow(config: GrowthConfig) -> tuple[list[int], list[int], list[int]]:
-    """Grow a network; return both ends of each edge in growth order, per-node degrees and triangle counts."""
+def _grow(config: GrowthConfig) -> list[int]:
+    """Grow a network; return both ends of each edge, in growth order."""
     n, n0, m, p_t = config.n, config.n0, config.m, config.p_t
     draw = _uniforms(np.random.default_rng(config.seed)).__next__
     neighbor_lists: list[list[int]] = [[] for _ in range(n)]
-    neighbor_sets: list[set[int]] = [set() for _ in range(n)]
-    triangles = [0] * n
     endpoints: list[int] = []  # both ends of every edge: a uniform entry is degree-proportional
 
     def add_edge(u: int, w: int) -> None:
-        common = neighbor_sets[u] & neighbor_sets[w]
-        for x in common:
-            triangles[x] += 1
-        triangles[u] += len(common)
-        triangles[w] += len(common)
-        neighbor_sets[u].add(w)
-        neighbor_sets[w].add(u)
         neighbor_lists[u].append(w)
         neighbor_lists[w].append(u)
         endpoints.extend((u, w))
@@ -123,7 +114,7 @@ def _grow(config: GrowthConfig) -> tuple[list[int], list[int], list[int]]:
         add_edge(i, (i + 1) % n0)
 
     for v in range(n0, n):
-        own = neighbor_sets[v]
+        own: set[int] = set()
         for k in range(m):
             tf = k > 0 and draw() < p_t
             pool = neighbor_lists[target] if tf else endpoints
@@ -137,26 +128,16 @@ def _grow(config: GrowthConfig) -> tuple[list[int], list[int], list[int]]:
                         tf, pool = False, endpoints
             if not tf:
                 target = w
+            own.add(w)
             add_edge(v, w)
 
-    return endpoints, list(map(len, neighbor_lists)), triangles
+    return endpoints
 
 
 def generate_pa_tf(config: GrowthConfig) -> Graph:
     """Grow a network under the config. Deterministic given the seed."""
-    return grow_with_clustering(config)[0]
-
-
-def grow_with_clustering(config: GrowthConfig) -> tuple[Graph, float]:
-    """The network `generate_pa_tf` grows, and its average clustering coefficient.
-
-    The coefficient comes from the triangles counted during growth, through
-    the same `mean_local_clustering` as `average_clustering_coefficient`, so
-    the two agree bit for bit without a triangle pass over the graph.
-    """
-    endpoints, degrees, triangles = _grow(config)
-    ends = np.array(endpoints, dtype=np.int64)  # unique, loop-free pairs: w != v and w not in own
-    return Graph._from_pairs(ends[0::2], ends[1::2], config.n), mean_local_clustering(triangles, degrees)
+    ends = np.array(_grow(config), dtype=np.int64)  # unique, loop-free pairs: w != v and w not in own
+    return Graph._from_pairs(ends[0::2], ends[1::2], config.n)
 
 
 def derive_growth_config(nodes: int, edges: int) -> GrowthConfig:
@@ -179,12 +160,9 @@ def derive_seed(master_seed: int, *key: int) -> int:
 
 
 def _pilot_mean_cc(n: int, n0: int, m: int, p_t: float, pilot_seeds: Sequence[int]) -> float:
-    """Pilot-mean average CC from growth-time triangle counts."""
-    values = []
-    for s in pilot_seeds:
-        _, degrees, triangles = _grow(GrowthConfig(n=n, n0=n0, m=m, p_t=p_t, seed=s))
-        values.append(mean_local_clustering(triangles, degrees))
-    return float(np.mean(values))
+    """Mean over the pilot seeds of the grown networks' average CC."""
+    configs = (GrowthConfig(n=n, n0=n0, m=m, p_t=p_t, seed=s) for s in pilot_seeds)
+    return float(np.mean([average_clustering_coefficient(generate_pa_tf(config)) for config in configs]))
 
 
 def calibrate_pt(

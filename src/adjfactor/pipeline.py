@@ -36,7 +36,7 @@ from .growth import (
     calibrate_pt,
     derive_growth_config,
     derive_seed,
-    grow_with_clustering,
+    generate_pa_tf,
 )
 from .models import (
     EMG,
@@ -128,7 +128,7 @@ def _replica_task(config: GrowthConfig, index: int, out_dir: Path, log_base: flo
 
     Top-level so it can run in a worker process; output depends only on the arguments.
     """
-    graph, avg_cc = grow_with_clustering(config)
+    graph = generate_pa_tf(config)
     prefix = f"replica_{index:02d}"
     write_edge_list(graph, out_dir / f"{prefix}.edges")
     entry = {
@@ -137,7 +137,7 @@ def _replica_task(config: GrowthConfig, index: int, out_dir: Path, log_base: flo
         "edges_file": f"{prefix}.edges",
         "nodes": graph.node_count,
         "edges": graph.edge_count,
-        "avg_cc": avg_cc,
+        "avg_cc": average_clustering_coefficient(graph),
     }
     for kind, (_, record) in _fit_both_kinds(graph, prefix, out_dir, log_base).items():
         entry[kind] = record

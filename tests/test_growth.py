@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,21 @@ from adjfactor import (
     growth,
 )
 from adjfactor.growth import derive_growth_config, derive_seed
+
+# sha256 of `growth._grow`'s endpoint list as int64; a change to the draws or
+# their order moves every grown network and must be made on purpose
+STREAM_DIGESTS = {
+    # seed ring only
+    GrowthConfig(n=5, n0=5, m=3, p_t=0.7, seed=1): "321ab3d1fb39f7dc2508c8b74d0cbd3bab7dbd05e62d7c30c5a92820b65aa400",
+    # preferential attachment only, one edge per node
+    GrowthConfig(n=500, n0=3, m=1, p_t=0.0, seed=2): "d0641ca18d91095d213f7f3eb1990b20acb8874e21410f95e778b8a37d18fa4c",
+    # the determinism fixture's input
+    GrowthConfig(n=600, n0=3, m=2, p_t=0.45, seed=11): "4203dc82b121081eca8f2c6a8e47935ba25542d27f9218254be9927520be9ce9",
+    # TF draws miss and the exact scan runs
+    GrowthConfig(n=40, n0=6, m=5, p_t=1.0, seed=3): "e2537731e4ca22ae15005401310c300f5388e4e7598e33372473177b084f3509",
+    # dense, shaped like Email-Eu-core
+    GrowthConfig(n=1005, n0=16, m=16, p_t=0.9, seed=1): "0bda93cf7fd53581428a57b108e807bd43776bde1726db12131a5ce626b29dbe",
+}
 
 
 class TestConfig:
@@ -107,12 +124,25 @@ class TestGrowthInternals:
         ids=repr,
     )
     def test_replica_cc_equals_graph_cc(self, config):
-        graph, cc = growth.grow_with_clustering(config)
-        assert graph == generate_pa_tf(config)
-        assert cc == average_clustering_coefficient(graph)
+        graph = generate_pa_tf(config)
         # the grown pairs pass the checks that Graph._from_pairs leaves out: no self-loop, no repeat
-        endpoints, _, _ = growth._grow(config)
+        endpoints = growth._grow(config)
         assert Graph.from_edges(zip(endpoints[0::2], endpoints[1::2]), config.n) == graph
+        # the kernel's coefficient equals triangles counted edge by edge in growth
+        # order, summed in a plain loop over the nodes
+        neighbor_sets: list[set[int]] = [set() for _ in range(config.n)]
+        triangles = [0] * config.n
+        for u, w in zip(endpoints[0::2], endpoints[1::2]):
+            for x in neighbor_sets[u] & neighbor_sets[w]:
+                triangles[x] += 1
+                triangles[u] += 1
+                triangles[w] += 1
+            neighbor_sets[u].add(w)
+            neighbor_sets[w].add(u)
+        total = 0.0
+        for t, k in zip(triangles, map(len, neighbor_sets)):
+            total += t / (k * (k - 1) / 2) if k >= 2 else 0.0
+        assert average_clustering_coefficient(graph) == total / config.n
 
     def test_tf_partner_uniform_over_target_neighbors(self):
         # ring 0-1-2-3; node 4 attaches to a uniform ring node t, then (p_t=1)
@@ -120,7 +150,7 @@ class TestGrowthInternals:
         seeds = 4000
         counts: dict[tuple[int, int], int] = {}
         for seed in range(seeds):
-            endpoints, _, _ = growth._grow(GrowthConfig(n=5, n0=4, m=2, p_t=1.0, seed=seed))
+            endpoints = growth._grow(GrowthConfig(n=5, n0=4, m=2, p_t=1.0, seed=seed))
             assert endpoints[-4::2] == [4, 4]  # node 4 adds the last two edges
             outcome = tuple(endpoints[-3::2])
             counts[outcome] = counts.get(outcome, 0) + 1
@@ -133,18 +163,23 @@ class TestGrowthInternals:
         # with n0=6 and m=5 most neighbors of a PA target are already adjacent
         # to the incoming node, so TF draws miss and the exact scan runs
         config = GrowthConfig(n=40, n0=6, m=5, p_t=1.0, seed=3)
-        endpoints, degrees, triangles = growth._grow(config)
+        endpoints = growth._grow(config)
         neighbor_lists = [[] for _ in range(config.n)]
         for u, w in zip(endpoints[0::2], endpoints[1::2]):
             neighbor_lists[u].append(w)
             neighbor_lists[w].append(u)
-        assert degrees == list(map(len, neighbor_lists))
+        assert generate_pa_tf(config).degrees() == tuple(map(len, neighbor_lists))
         for v in range(config.n0, config.n):
             own_edges = [u for u in neighbor_lists[v] if u < v]
             assert len(own_edges) == config.m
             assert len(set(neighbor_lists[v])) == len(neighbor_lists[v])
             assert v not in neighbor_lists[v]
-        assert growth._grow(config) == (endpoints, degrees, triangles)
+        assert growth._grow(config) == endpoints
+
+    @pytest.mark.parametrize("config", list(STREAM_DIGESTS), ids=repr)
+    def test_random_stream_is_pinned(self, config):
+        endpoints = np.array(growth._grow(config), np.int64)
+        assert hashlib.sha256(endpoints.tobytes()).hexdigest() == STREAM_DIGESTS[config]
 
 
 class TestDeriveConfig:

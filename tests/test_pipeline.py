@@ -271,9 +271,10 @@ class TestFailureClasses:
 
     @pytest.mark.parametrize(
         "target, error",
-        # census runs for the real network, grow_with_clustering only for replicas;
-        # a monkeypatch reaches only this process, so both run inline
-        [("census", ValueError), ("grow_with_clustering", TypeError)],
+        # census runs for the real network; the pipeline calls generate_pa_tf only
+        # for replicas (pilots call it in growth's namespace); a monkeypatch
+        # reaches only this process, so both run inline
+        [("census", ValueError), ("generate_pa_tf", TypeError)],
     )
     def test_bug_escapes(self, synthetic_input, tmp_path, monkeypatch, target, error):
         def broken(*args, **kwargs):
