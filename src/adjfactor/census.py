@@ -101,7 +101,7 @@ def to_distribution(c: AdjacencyCensus) -> DistributionSeries:
     whole census.
     """
     if len(c) == 0:
-        raise DataError("empty census")
+        raise DataError(f"no {'triangles' if c.kind == 't' else 'edges'} in graph")
     support, counts = np.unique(c.factors, return_counts=True)
     freq = counts / counts.sum()
     return DistributionSeries(support=support, counts=counts, freq=freq)

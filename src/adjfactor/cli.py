@@ -15,14 +15,12 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .census import census, read_distribution_csv, to_distribution, write_census_csv, write_distribution_csv
-from .graph import DataError, average_clustering_coefficient, load_edge_list, write_edge_list
+from .graph import DataError, load_edge_list, write_edge_list
 from .growth import CalibrationError, ConfigError, GrowthConfig, calibrate_pt, generate_pa_tf
-from .models import EMG, S_COMPLEX, FitError, fit
-from .pipeline import ExperimentConfig, _write_json, run_experiment
+from .models import EMG, REFERENCE_RULES, S_COMPLEX, FitError, fit
+from .pipeline import DATA_ERROR, NUMERIC_ERROR, ExperimentConfig, _summary, _write_json, run_experiment
 
 USAGE_ERROR = 1
-DATA_ERROR = 2
-NUMERIC_ERROR = 3
 
 _MODEL_ALIASES = {"s": S_COMPLEX, "t": EMG, S_COMPLEX: S_COMPLEX, EMG: EMG}
 
@@ -45,11 +43,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
         payload = {"nodes": 0, "edges": 0, "error": "empty graph"}
         print(json.dumps(payload, sort_keys=True))
         return DATA_ERROR
-    summary = {
-        "nodes": graph.node_count,
-        "edges": graph.edge_count,
-        "avg_cc": average_clustering_coefficient(graph),
-    }
+    summary = _summary(graph)
     if args.format == "csv":
         print("nodes,edges,avg_cc")
         print(f"{summary['nodes']},{summary['edges']},{summary['avg_cc']!r}")
@@ -61,13 +55,9 @@ def cmd_summarize(args: argparse.Namespace) -> int:
 def cmd_census(args: argparse.Namespace) -> int:
     graph, _ = load_edge_list(args.path)
     result = census(graph, args.kind)
-    if len(result) == 0:
-        what = "triangles" if result.kind == "t" else "edges"
-        print(f"error: no {what} in graph", file=sys.stderr)
-        return DATA_ERROR
+    series = to_distribution(result)
     if args.per_unit:
         write_census_csv(result, args.per_unit)
-    series = to_distribution(result)
     if args.out:
         write_distribution_csv(series, args.out)
     else:
@@ -85,9 +75,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     meta = config.metadata()
     meta["generated_edges"] = graph.edge_count
     _write_json(Path(str(args.out) + ".meta.json"), meta)
-    avg_cc = average_clustering_coefficient(graph)
-    summary = {"nodes": graph.node_count, "edges": graph.edge_count, "avg_cc": avg_cc}
-    print(json.dumps(summary, sort_keys=True))
+    print(json.dumps(_summary(graph), sort_keys=True))
     return 0
 
 
@@ -185,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=0.02, help="calibration tolerance")
     p.add_argument("--pilots", type=int, default=5, help="pilot networks per calibration probe")
     p.add_argument("--log-base", choices=("10", "e"), default="10")
-    p.add_argument("--reference-rule", choices=("upper-half", "all"), default="upper-half")
+    p.add_argument("--reference-rule", choices=REFERENCE_RULES, default="upper-half")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_experiment)
 

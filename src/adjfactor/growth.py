@@ -11,7 +11,7 @@ or PA when there is none.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -67,11 +67,7 @@ class GrowthConfig:
     def metadata(self) -> dict:
         """Rule choices recorded alongside generated networks for audit."""
         return {
-            "n": self.n,
-            "n0": self.n0,
-            "m": self.m,
-            "p_t": self.p_t,
-            "seed": self.seed,
+            **asdict(self),
             "seed_topology": "ring",
             "pa_rule": "degree-proportional (edge-endpoint list), ineligible targets redrawn",
             "tf_rule": "coin flipped before every edge after the first; partner is a uniform "

@@ -6,21 +6,21 @@ to the real and replica distributions, and compares best-fit parameters with
 a one-sample t-test. Everything is derived from one master seed, and the
 report is byte-identical across runs, output directories, and worker counts.
 
-With `workers` > 1, a process pool runs the real network's census and fits
-while the main process calibrates p_t, then grows, censuses and fits the
-replicas. With one worker every stage runs inline, in stage order. A failed
-network reports its earliest failing stage, whatever ran first: a real-fit
-failure beats a calibration failure, and no later stage leaves a report key
-or a file. Unreadable, unparsable or empty inputs are data failures (exit 2),
-unfittable series and unreachable targets numeric ones (exit 3); any other
-exception is a bug and propagates.
+One path serves every worker count: the real network's census and fits and
+each replica are executor tasks. A process pool (`workers` > 1) fits the real
+network while the main process calibrates p_t; at one worker each task runs
+when submitted, in stage order. A failed network reports its earliest failing
+stage, whatever ran first: a real-fit failure beats a calibration failure, and
+no later stage leaves a report key or a file. Unreadable, unparsable or empty
+inputs are data failures (exit 2), unfittable series and unreachable targets
+numeric ones (exit 3); any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import repeat
 from pathlib import Path
@@ -41,6 +41,7 @@ from .growth import (
 from .models import (
     EMG,
     PARAM_NAMES,
+    REFERENCE_RULES,
     S_COMPLEX,
     FitError,
     fit,
@@ -50,6 +51,8 @@ from .models import (
 from .stats import one_sample_t_test
 
 MODEL_BY_KIND = {"s": S_COMPLEX, "t": EMG}
+DATA_ERROR = 2
+NUMERIC_ERROR = 3
 
 
 @dataclass
@@ -73,6 +76,8 @@ class ExperimentConfig:
             raise ConfigError("calibration_tolerance must be positive")
         if self.calibration_pilots < 1:
             raise ConfigError("calibration_pilots must be >= 1")
+        if self.reference_rule not in REFERENCE_RULES:
+            raise ConfigError(f"reference_rule must be one of {REFERENCE_RULES}, got {self.reference_rule!r}")
         self.out_dir = Path(self.out_dir)
 
     def echo(self) -> dict:
@@ -82,6 +87,23 @@ class ExperimentConfig:
         }
         echo["datasets"] = [str(p) for p in self.datasets]
         return echo
+
+
+class _Inline(Executor):
+    """Runs each task in this process when it is submitted; `submit` raises what the task raises."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+def _summary(graph: Graph) -> dict:
+    return {
+        "nodes": graph.node_count,
+        "edges": graph.edge_count,
+        "avg_cc": average_clustering_coefficient(graph),
+    }
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -135,9 +157,7 @@ def _replica_task(config: GrowthConfig, index: int, out_dir: Path, log_base: flo
         "replica": index,
         "seed": config.seed,
         "edges_file": f"{prefix}.edges",
-        "nodes": graph.node_count,
-        "edges": graph.edge_count,
-        "avg_cc": average_clustering_coefficient(graph),
+        **_summary(graph),
     }
     for kind, (_, record) in _fit_both_kinds(graph, prefix, out_dir, log_base).items():
         entry[kind] = record
@@ -182,9 +202,9 @@ def _process_network(
     dataset: str,
     name: str,
     config: ExperimentConfig,
-    executor: ProcessPoolExecutor | None,
-) -> tuple[dict, str | None]:
-    """Run every stage for one network. Returns (report entry, failure kind)."""
+    executor: Executor,
+) -> tuple[dict, int]:
+    """Run every stage for one network. Returns (report entry, exit code: 0, 2 or 3)."""
     entry: dict = {"name": name, "input": str(dataset), "status": "ok"}
     net_dir = config.out_dir / name
     net_dir.mkdir(parents=True, exist_ok=True)
@@ -195,18 +215,10 @@ def _process_network(
         _write_json(net_dir / "ingest.json", asdict(ingest))
 
         stage = "summary"
-        avg_cc = average_clustering_coefficient(graph)
-        entry["summary"] = {
-            "nodes": graph.node_count,
-            "edges": graph.edge_count,
-            "avg_cc": avg_cc,
-        }
+        entry["summary"] = _summary(graph)
 
         stage = "census_and_fit_real"
-        if executor is None:
-            real = _fit_both_kinds(graph, "real", net_dir, config.log_base)
-        else:
-            real_job = executor.submit(_fit_both_kinds, graph, "real", net_dir, config.log_base)
+        real_job = executor.submit(_fit_both_kinds, graph, "real", net_dir, config.log_base)
 
         stage = "calibration"
         try:
@@ -214,18 +226,17 @@ def _process_network(
             calibration = calibrate_pt(
                 base.n,
                 base.m,
-                avg_cc,
+                entry["summary"]["avg_cc"],
                 tolerance=config.calibration_tolerance,
                 pilots=config.calibration_pilots,
                 seed=derive_seed(config.seed, net_index, 0),
             )
         finally:
-            if executor is not None:
-                # the earlier stage's failure wins, as if it had run first:
-                # raised here, it replaces any exception calibration raised
-                stage = "census_and_fit_real"
-                real = real_job.result()
-                stage = "calibration"
+            # the earlier stage's failure wins, as if it had run first:
+            # raised here, it replaces any exception calibration raised
+            stage = "census_and_fit_real"
+            real = real_job.result()
+            stage = "calibration"
         grown_config = replace(base, p_t=calibration.p_t)
         entry["growth"] = {
             "config": grown_config.metadata(),
@@ -238,11 +249,9 @@ def _process_network(
             replace(grown_config, seed=derive_seed(config.seed, net_index, 1 + r))
             for r in range(config.replicas)
         ]
-        replica_entries = list(
-            (executor.map if executor else map)(
-                _replica_task, configs, range(config.replicas), repeat(net_dir), repeat(config.log_base)
-            )
-        )
+        replica_entries = list(executor.map(
+            _replica_task, configs, range(config.replicas), repeat(net_dir), repeat(config.log_base)
+        ))
         entry["replicas"] = replica_entries
 
         stage = "aggregate"
@@ -252,13 +261,10 @@ def _process_network(
             )
             for kind, (series, record) in real.items()
         }
-        return entry, None
-    except (FitError, CalibrationError) as exc:
+        return entry, 0
+    except (DataError, FitError, CalibrationError) as exc:
         entry.update(status="failed", failed_stage=stage, error=str(exc))
-        return entry, "numeric"
-    except DataError as exc:
-        entry.update(status="failed", failed_stage=stage, error=str(exc))
-        return entry, "data"
+        return entry, DATA_ERROR if isinstance(exc, DataError) else NUMERIC_ERROR
 
 
 def _slash(*values: float) -> str:
@@ -315,25 +321,15 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
             name = f"{name}_{index}"
         names.append(name)
 
-    executor = ProcessPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
-    failure_kinds: list[str] = []
+    code = 0
     networks = []
-    try:
+    with ProcessPoolExecutor(max_workers=config.workers) if config.workers > 1 else _Inline() as executor:
         for index, (dataset, name) in enumerate(zip(config.datasets, names)):
             entry, failure = _process_network(index, dataset, name, config, executor)
             networks.append(entry)
-            if failure is not None:
-                failure_kinds.append(failure)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+            code = max(code, failure)
 
     report = {"config": config.echo(), "networks": networks}
     _write_json(config.out_dir / "report.json", report)
     _write_tables(report, config.out_dir)
-
-    if "numeric" in failure_kinds:
-        return report, 3
-    if failure_kinds:
-        return report, 2
-    return report, 0
+    return report, code

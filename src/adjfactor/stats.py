@@ -8,7 +8,7 @@ scipy.special.betainc for df 1-60 and |t| from 1e-3 to 1e4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,14 +26,7 @@ class TTestResult:
     def to_dict(self) -> dict:
         # inf t-statistics (zero-variance samples) are not valid JSON numbers
         t = self.t_stat if math.isfinite(self.t_stat) else repr(self.t_stat)
-        return {
-            "t_stat": t,
-            "df": self.df,
-            "p_value": self.p_value,
-            "significant_at_99": self.significant_at_99,
-            "sample_mean": self.sample_mean,
-            "sample_sd": self.sample_sd,
-        }
+        return {**asdict(self), "t_stat": t}
 
 
 def _two_sided_tail(t: float, df: int) -> float:

@@ -72,8 +72,10 @@ class TestCensus:
     def test_no_triangles_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "c5.txt"
         write_edge_list(cycle_graph(5), path)
-        assert main(["census", str(path), "--kind", "t"]) == 2
+        dump = tmp_path / "units.csv"
+        assert main(["census", str(path), "--kind", "t", "--per-unit", str(dump)]) == 2
         assert "no triangles" in capsys.readouterr().err
+        assert not dump.exists()
 
     def test_out_and_per_unit_files(self, k4_file, tmp_path):
         out = tmp_path / "dist.csv"

@@ -182,8 +182,9 @@ class TestFailureHandling:
 
     @pytest.mark.parametrize(
         "setting",
-        [{"workers": 0}, {"calibration_tolerance": 0.0}, {"calibration_pilots": 0}],
-        ids=["workers", "tolerance", "pilots"],
+        [{"workers": 0}, {"calibration_tolerance": 0.0}, {"calibration_pilots": 0},
+         {"reference_rule": "median"}],
+        ids=["workers", "tolerance", "pilots", "reference_rule"],
     )
     def test_invalid_setting_rejected_before_any_work(self, tmp_path, setting):
         with pytest.raises(ValueError):
