@@ -43,13 +43,15 @@ class Graph:
     unique, in-range, loop-free edge pairs by `_from_pairs`, which checks
     none of this: `from_edges` checks the pairs it is given, the edge-list
     parsers clean theirs, and growth makes them so. `neighbors(v)` and
-    `edges()` give ascending order. Instances are safe for concurrent reads;
-    all mutation happens before construction.
+    `edges()` give ascending order. Instances are safe for concurrent reads.
+    One slot is filled lazily: `_wedges` holds the graph's closed-wedge kernel
+    once `_closed_wedges` has computed it, and is never pickled. Concurrent
+    readers may both compute it; the results are equal, and either is kept.
     """
 
     # memoryviews of the CSR arrays: an item read gives a Python int, which keeps
     # the per-call lookups (has_edge, degree, neighbors) free of numpy overhead
-    __slots__ = ("_indptr", "_indices")
+    __slots__ = ("_indptr", "_indices", "_wedges")
 
     @classmethod
     def _from_pairs(cls, u: np.ndarray, v: np.ndarray, n: int) -> "Graph":
@@ -59,6 +61,7 @@ class Graph:
         np.cumsum(np.bincount(sources, minlength=n), out=indptr[1:])
         graph = cls()
         graph._indptr, graph._indices = _frozen_view(indptr), _frozen_view(targets)
+        graph._wedges = None
         return graph
 
     @classmethod
@@ -149,6 +152,7 @@ class Graph:
 
     def __setstate__(self, state: tuple[np.ndarray, np.ndarray]) -> None:
         self._indptr, self._indices = (_frozen_view(a) for a in state)
+        self._wedges = None
 
     def __repr__(self) -> str:
         return f"Graph(nodes={self.node_count}, edges={self.edge_count})"
@@ -312,7 +316,11 @@ def _closed_wedges(graph: Graph) -> ClosedWedges:
 
     The ends of each forward wedge are looked up among the sorted edge keys.
     Average CC, both censuses and `enumerate_triangles` read only this pass.
+    It runs once per graph: the result is kept on the graph, every array
+    read-only, and later calls return it.
     """
+    if graph._wedges is not None:
+        return graph._wedges
     n = graph.node_count
     u, v = _upper_edges(graph.indptr, graph.indices)
     rank, fptr, fsrc, fdst = _forward(graph)
@@ -321,7 +329,11 @@ def _closed_wedges(graph: Graph) -> ClosedWedges:
     del later
     closing = _find(u * n + v, fdst[first] * n + fdst[second])  # fdst[first] < fdst[second]
     hit = closing >= 0
-    return ClosedWedges(u, v, rank, fsrc, fdst, first[hit], second[hit], closing[hit])
+    wedges = ClosedWedges(u, v, rank, fsrc, fdst, first[hit], second[hit], closing[hit])
+    for array in wedges:
+        array.flags.writeable = False
+    graph._wedges = wedges
+    return wedges
 
 
 def parse_edge_list(text: str) -> tuple[Graph, IngestReport]:

@@ -25,6 +25,7 @@ The module needs numpy alone, as the t-test's tail in `stats` needs only
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from operator import add
 from typing import Callable, Generator, NamedTuple, Sequence
@@ -450,6 +451,14 @@ def _s_complex_projection(x: np.ndarray, observed: np.ndarray, log_base: float) 
     return project
 
 
+def _valid_log_base(value) -> bool:
+    """Whether value can be the base of a logarithm: a finite real number > 0 other than 1."""
+    try:
+        return math.isfinite(value) and value > 0 and value != 1
+    except (TypeError, OverflowError):  # not a real number, or beyond float range
+        return False
+
+
 def fit(model: str, series: DistributionSeries, log_base: float = 10.0) -> FitResult:
     """Least-squares fit of a model to a frequency series.
 
@@ -460,6 +469,9 @@ def fit(model: str, series: DistributionSeries, log_base: float = 10.0) -> FitRe
     """
     if model not in PARAM_NAMES:
         raise ValueError(f"unknown model {model!r}")
+    if not _valid_log_base(log_base):
+        error = ValueError if isinstance(log_base, numbers.Real) else TypeError
+        raise error(f"log_base must be a finite number > 0 and != 1, got {log_base!r}")
     min_support = 1.0 if model == S_COMPLEX else 0.0
     x, observed = series.restrict(min_support)
     if len(x) < 4:

@@ -47,6 +47,7 @@ from .models import (
     fit,
     model_function,
     reference_constant,
+    _valid_log_base,
 )
 from .stats import one_sample_t_test
 
@@ -78,6 +79,8 @@ class ExperimentConfig:
             raise ConfigError("calibration_pilots must be >= 1")
         if self.reference_rule not in REFERENCE_RULES:
             raise ConfigError(f"reference_rule must be one of {REFERENCE_RULES}, got {self.reference_rule!r}")
+        if not _valid_log_base(self.log_base):
+            raise ConfigError(f"log_base must be a finite number > 0 and != 1, got {self.log_base!r}")
         self.out_dir = Path(self.out_dir)
 
     def echo(self) -> dict:

@@ -14,6 +14,9 @@ import numpy as np
 from adjfactor import Graph, ParseError, models
 from adjfactor.graph import IngestReport
 
+# log bases that are not a finite real number > 0 other than 1
+BAD_LOG_BASES = (1.0, math.nan, math.inf, 0.0, -10.0, "10")
+
 
 def complete_graph(n: int) -> Graph:
     return Graph.from_edges([(i, j) for i in range(n) for j in range(i + 1, n)])

@@ -1,4 +1,5 @@
 import io
+import pickle
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from adjfactor import (
     to_distribution,
     write_distribution_csv,
 )
+from adjfactor import graph as graph_module
 from adjfactor.census import read_distribution_csv, write_census_csv
 from adjfactor.graph import _closed_wedges
 from helpers import (
@@ -234,6 +236,19 @@ def _assert_matches_brute_oracles(g: Graph) -> None:
     assert t.factors.tolist() == [brute_t_factor(g, tri) for tri in triangles]
 
 
+def _fresh(g: Graph) -> Graph:
+    """An equal graph built from g's edges, with no kernel computed yet."""
+    return Graph.from_edges(g.edges(), node_count=g.node_count)
+
+
+def _statistic(g: Graph, name: str) -> tuple[bytes, ...]:
+    """Raw bytes of one triangle statistic of g: average CC ("cc"), or a census's units and factors."""
+    if name == "cc":
+        return (np.float64(average_clustering_coefficient(g)).tobytes(),)
+    c = census(g, name)
+    return c.units.tobytes(), c.factors.tobytes()
+
+
 if st is not None:
 
     @st.composite
@@ -272,6 +287,80 @@ if st is not None:
     @example(complete_graph(8))
     def test_rank_order_fuzz_matches_brute_oracles(g):
         _assert_matches_brute_oracles(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rank_order_graphs(), st.permutations(["cc", "s", "t"]))
+    def test_any_call_order_matches_a_fresh_graph(g, order):
+        g = _fresh(g)  # an @example graph may hold a kernel from another test
+        for name in order:
+            assert _statistic(g, name) == _statistic(_fresh(g), name), name
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch) -> list[Graph]:
+    """Every graph the closed-wedge kernel is computed for, once per computation."""
+    runs = []
+    forward = graph_module._forward
+
+    def counted(g):
+        runs.append(g)
+        return forward(g)
+
+    monkeypatch.setattr(graph_module, "_forward", counted)
+    return runs
+
+
+class TestKernelKeptOnGraph:
+    """The closed-wedge kernel runs once per graph, and what it keeps cannot leak or alias."""
+
+    def test_every_statistic_of_one_graph_shares_one_pass(self, kernel_runs):
+        g = er_graph(30, 0.3, seed=5)
+        average_clustering_coefficient(g)
+        census(g, "s")
+        census(g, "t")
+        enumerate_triangles(g)
+        average_clustering_coefficient(g)
+        assert [id(h) for h in kernel_runs] == [id(g)]
+
+    def test_each_graph_runs_its_own_pass(self, kernel_runs):
+        pilots = [generate_pa_tf(GrowthConfig(n=120, n0=3, m=2, p_t=0.5, seed=seed)) for seed in (1, 2)]
+        for _ in range(2):
+            for pilot in pilots:
+                average_clustering_coefficient(pilot)
+                census(pilot, "t")
+        assert [id(g) for g in kernel_runs] == [id(g) for g in pilots]
+
+    def test_a_pickled_copy_runs_the_pass_once_more(self, kernel_runs):
+        g = er_graph(30, 0.3, seed=5)
+        census(g, "s")
+        copy = pickle.loads(pickle.dumps(g))
+        census(copy, "s")
+        census(copy, "t")
+        assert [id(h) for h in kernel_runs] == [id(g), id(copy)]
+
+    def test_kept_arrays_are_read_only(self):
+        wedges = _closed_wedges(er_graph(30, 0.3, seed=5))
+        assert len(wedges.first) > 0
+        for array in wedges:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[:1] = 0
+
+    def test_kernel_is_never_pickled(self):
+        g = er_graph(30, 0.3, seed=5)
+        cold = pickle.dumps(g)
+        census(g, "t")
+        assert g._wedges is not None
+        assert pickle.dumps(g) == cold
+
+    def test_writing_into_a_census_changes_no_later_result(self):
+        g = er_graph(30, 0.3, seed=5)
+        expected = {name: _statistic(_fresh(g), name) for name in ("cc", "s", "t")}
+        for kind in ("s", "t"):
+            c = census(g, kind)
+            c.units[:] = -1
+            c.factors[:] = -1
+        assert {name: _statistic(g, name) for name in expected} == expected
 
 
 class TestDistribution:

@@ -23,7 +23,7 @@ from adjfactor import (
 )
 from adjfactor.census import DistributionSeries
 from adjfactor.models import model_function, reference_constant
-from helpers import reference_emg, reference_erfcx, series_erfc
+from helpers import BAD_LOG_BASES, reference_emg, reference_erfcx, series_erfc
 
 TABLE_S_PARAMS = [
     (0.25, 0.75, 0.19),
@@ -189,6 +189,13 @@ class TestFit:
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             fit("cubic", series_from([1, 2, 3, 4], [0.4, 0.3, 0.2, 0.1]))
+
+    @pytest.mark.parametrize("model", ["s_complex", "emg"])
+    @pytest.mark.parametrize("log_base", BAD_LOG_BASES)
+    def test_bad_log_base_rejected(self, model, log_base):
+        error = TypeError if isinstance(log_base, str) else ValueError
+        with pytest.raises(error, match="log_base"):
+            fit(model, series_from([1, 2, 3, 4], [0.4, 0.3, 0.2, 0.1]), log_base=log_base)
 
     def test_mnd_consistent_with_params(self):
         x = np.arange(1, 30)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from adjfactor import (
+    ConfigError,
     ExperimentConfig,
     Graph,
     GrowthConfig,
@@ -15,7 +16,7 @@ from adjfactor import (
     write_edge_list,
 )
 from conftest import small_experiment_config
-from helpers import path_graph
+from helpers import BAD_LOG_BASES, path_graph
 
 PARAM_NAMES = {"s_complex": ("a", "b", "c"), "emg": ("lam", "mu", "sigma")}
 
@@ -190,6 +191,13 @@ class TestFailureHandling:
         with pytest.raises(ValueError):
             ExperimentConfig(datasets=["x"], out_dir=tmp_path, **setting)
 
+    @pytest.mark.parametrize("log_base", BAD_LOG_BASES)
+    def test_bad_log_base_rejected_before_any_output(self, synthetic_input, tmp_path, log_base):
+        out_dir = tmp_path / "out"
+        with pytest.raises(ConfigError, match="log_base"):
+            run_experiment(small_experiment_config(synthetic_input, out_dir, log_base=log_base))
+        assert not out_dir.exists()
+
 
 def _with_k5s(graph: Graph, count: int) -> Graph:
     """The graph plus `count` disjoint 5-cliques, numbered after its nodes."""
@@ -289,12 +297,23 @@ class TestFailureClasses:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("log_base, error", [("10", TypeError), (0.0, ValueError)])
     def test_error_in_real_fit_escapes(self, synthetic_input, tmp_path, log_base, error, workers):
-        # the log base reaches the S fit as a task argument, so with workers > 1
-        # the error is raised in a pool worker under any start method
-        config = small_experiment_config(
-            synthetic_input, tmp_path / "out", workers=workers, log_base=log_base
-        )
-        with pytest.raises(error):
+        # set after construction, the log base passes the config's check and
+        # reaches the S fit as a task argument, so with workers > 1 the fit's
+        # own check raises in a pool worker under any start method
+        config = small_experiment_config(synthetic_input, tmp_path / "out", workers=workers)
+        config.log_base = log_base
+        with pytest.raises(error, match="log_base"):
+            run_experiment(config)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_error_writing_real_output_escapes(self, synthetic_input, tmp_path, workers):
+        # a directory stands where the real S distribution is written, so the
+        # real network's task raises, with workers > 1 in a pool worker under
+        # any start method
+        out_dir = tmp_path / "out"
+        (out_dir / synthetic_input.stem / "real_s_distribution.csv").mkdir(parents=True)
+        config = small_experiment_config(synthetic_input, out_dir, workers=workers)
+        with pytest.raises(IsADirectoryError):
             run_experiment(config)
 
 
