@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from math import erfc  # re-exported as adjfactor.erfc
 from operator import add
 from typing import Callable, Generator, NamedTuple, Sequence
 
@@ -108,11 +109,6 @@ def _erfcx(y: np.ndarray) -> np.ndarray:
 
 class FitError(RuntimeError):
     """Fitting could not be carried out on the given series."""
-
-
-def erfc(x: float) -> float:
-    """Complementary error function."""
-    return math.erfc(x)
 
 
 def s_complex_model(x, a, b, c, log_base: float = 10.0):

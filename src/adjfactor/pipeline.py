@@ -9,11 +9,13 @@ report is byte-identical across runs, output directories, and worker counts.
 One path serves every worker count: the real network's census and fits and
 each replica are executor tasks. A process pool (`workers` > 1) fits the real
 network while the main process calibrates p_t; at one worker each task runs
-when submitted, in stage order. A failed network reports its earliest failing
-stage, whatever ran first: a real-fit failure beats a calibration failure, and
-no later stage leaves a report key or a file. Unreadable, unparsable or empty
-inputs are data failures (exit 2), unfittable series and unreachable targets
-numeric ones (exit 3); any other exception is a bug and propagates.
+when submitted, in stage order, and its `Future` holds its result or its
+exception, as a pool's does. So every task runs at every worker count, and a
+failed network reports its earliest failing stage, whatever ran first: a
+real-fit failure beats a calibration failure, replica r beats replica r + 1,
+and no later stage leaves a report key or a file. Unreadable, unparsable or
+empty inputs are data failures (exit 2), unfittable series and unreachable
+targets numeric ones (exit 3); any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import csv
 import json
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -93,11 +94,14 @@ class ExperimentConfig:
 
 
 class _Inline(Executor):
-    """Runs each task in this process when it is submitted; `submit` raises what the task raises."""
+    """Runs each task in this process when submitted; its `Future` holds the result or the exception."""
 
     def submit(self, fn, /, *args, **kwargs):
         future = Future()
-        future.set_result(fn(*args, **kwargs))
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
         return future
 
 
@@ -252,9 +256,8 @@ def _process_network(
             replace(grown_config, seed=derive_seed(config.seed, net_index, 1 + r))
             for r in range(config.replicas)
         ]
-        replica_entries = list(executor.map(
-            _replica_task, configs, range(config.replicas), repeat(net_dir), repeat(config.log_base)
-        ))
+        jobs = [executor.submit(_replica_task, c, r, net_dir, config.log_base) for r, c in enumerate(configs)]
+        replica_entries = [job.result() for job in jobs]
         entry["replicas"] = replica_entries
 
         stage = "aggregate"

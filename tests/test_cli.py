@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -202,6 +203,44 @@ class TestFit:
         monkeypatch.setattr(cli, "fit", broken)
         with pytest.raises(ValueError, match="a bug"):
             main(["fit", str(path), "--model", "s"])
+
+
+def _summary_and_censuses(path: Path, tmp_path: Path, capsys) -> dict:
+    """summarize's stdout, and each census's distribution and per-unit dump, for one edge-list file."""
+    assert main(["summarize", str(path)]) == 0
+    outputs = {"summary": capsys.readouterr().out}
+    for kind in ("s", "t"):
+        units = tmp_path / f"{path.name}.{kind}.units.csv"
+        assert main(["census", str(path), "--kind", kind, "--per-unit", str(units)]) == 0
+        outputs[kind] = capsys.readouterr().out
+        outputs[f"{kind} units"] = units.read_bytes()
+    return outputs
+
+
+def test_three_spellings_of_one_network_summarize_and_census_alike(synthetic_input, tmp_path, capsys):
+    # the CRLF file is parsed line by line, the LF and the timestamped file in bulk
+    lines = synthetic_input.read_text().splitlines()
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes("".join(f"{line}\r\n" for line in ["# one network, CRLF line ends", *lines]).encode())
+    tab = tmp_path / "tab.txt"
+    tab.write_text("".join(
+        "\t".join([*line.split(), str(1462320000 + number)]) + "\n" for number, line in enumerate(lines, 1)
+    ))
+    expected = _summary_and_censuses(synthetic_input, tmp_path, capsys)
+    assert json.loads(expected["summary"])["nodes"] == 600
+    assert _summary_and_censuses(crlf, tmp_path, capsys) == expected
+    assert _summary_and_censuses(tab, tmp_path, capsys) == expected
+
+
+@pytest.mark.parametrize("log_base", ["10", "e"])
+@pytest.mark.parametrize("model, kind", [("s", "s"), ("emg", "t")])
+def test_fit_of_a_census_converges_at_each_log_base(synthetic_input, tmp_path, capsys, model, kind, log_base):
+    series = tmp_path / f"{kind}.csv"
+    assert main(["census", str(synthetic_input), "--kind", kind, "--out", str(series)]) == 0
+    assert main(["fit", str(series), "--model", model, "--log-base", log_base]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["converged"]
+    assert all(map(math.isfinite, result["params"].values()))
 
 
 @pytest.mark.parametrize("command", ["fit", "calibrate"])

@@ -7,9 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import special
-from scipy.integrate import quad
-from scipy.optimize import minimize
 
 import adjfactor
 from adjfactor import models
@@ -109,6 +106,7 @@ class TestEmgModel:
         lam, mu, sigma = 0.02, 6.82, 5.08
         lo = mu - 10 * sigma - 20 / lam
         hi = mu + 10 * sigma + 20 / lam
+        quad = pytest.importorskip("scipy.integrate").quad
         integral, _ = quad(lambda x: float(emg_model(x, lam, mu, sigma)), lo, hi, limit=400)
         assert integral == pytest.approx(1.0, abs=1e-6)
 
@@ -329,6 +327,15 @@ def _batched(objective):
     return lambda points: np.array([objective(row) for row in points])
 
 
+def _scipy_simplex(objective, start, bounds, xatol, fatol, maxfev):
+    """scipy's bounded Nelder-Mead from `start`: the oracle, skipped where scipy is absent."""
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    return minimize(
+        objective, np.array(start), method="Nelder-Mead", bounds=bounds,
+        options={"xatol": xatol, "fatol": fatol, "maxfev": maxfev},
+    )
+
+
 def _assert_same_as_scipy(result, expected):
     assert np.array(result.x).tobytes() == expected.x.tobytes()
     assert np.float64(result.fun).tobytes() == np.float64(expected.fun).tobytes()
@@ -347,10 +354,7 @@ class TestSimplexOracle:
         _, objective, start, bounds, xatol, fatol, maxfev = case
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            expected = minimize(
-                objective, np.array(start), method="Nelder-Mead", bounds=bounds,
-                options={"xatol": xatol, "fatol": fatol, "maxfev": maxfev},
-            )
+            expected = _scipy_simplex(objective, start, bounds, xatol, fatol, maxfev)
         (result,) = models._lockstep(_batched(objective), [start], bounds, xatol, fatol, maxfev)
         _assert_same_as_scipy(result, expected)
 
@@ -362,10 +366,7 @@ class TestSimplexOracle:
         for maxfev in range(41):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                expected = minimize(
-                    objective, np.array(start), method="Nelder-Mead", bounds=bounds,
-                    options={"xatol": xatol, "fatol": fatol, "maxfev": maxfev},
-                )
+                expected = _scipy_simplex(objective, start, bounds, xatol, fatol, maxfev)
             (result,) = models._lockstep(_batched(objective), [start], bounds, xatol, fatol, maxfev)
             _assert_same_as_scipy(result, expected)
 
@@ -374,10 +375,7 @@ class TestSimplexOracle:
         starts = [[-1.2, 1.0], [2.0, 3.0], [0.0, 0.0], [1.5, -1.0]]
         results = models._lockstep(_batched(_rosenbrock), starts, bounds, 1e-10, 1e-14, 4000)
         for start, result in zip(starts, results):
-            expected = minimize(
-                _rosenbrock, np.array(start), method="Nelder-Mead", bounds=bounds,
-                options={"xatol": 1e-10, "fatol": 1e-14, "maxfev": 4000},
-            )
+            expected = _scipy_simplex(_rosenbrock, start, bounds, 1e-10, 1e-14, 4000)
             _assert_same_as_scipy(result, expected)
 
 
@@ -432,10 +430,7 @@ class TestRealObjectiveOracle:
         for start, result in zip(starts, results):
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"), warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                expected = minimize(
-                    lambda p: score(p[None, :])[0], np.array(start), method="Nelder-Mead", bounds=bounds,
-                    options={"xatol": 1e-10, "fatol": 1e-14, "maxfev": 4000},
-                )
+                expected = _scipy_simplex(lambda p: score(p[None, :])[0], start, bounds, 1e-10, 1e-14, 4000)
             _assert_same_as_scipy(result, expected)
 
 
@@ -581,6 +576,7 @@ class TestBatchedModels:
     def test_emg_equals_masked_branch_reference(self):
         # each branch evaluated only on its own points with scipy's erfcx and
         # erfc; the Gaussian factor is taken from z = (x - mu)/sigma
+        special = pytest.importorskip("scipy.special")
         x = np.array([0.0, 1.0, 2.0, 3.0, 3.5, 4.0, 6.0, 9.0, 20.0, 60.0, 400.0])
         for lam, mu, sigma in [(0.5, 3.0, 2.0), (0.07, 10.86, 5.06), (4.9, 1.0, 0.4), (2.0, 3.0, 1e-170)]:
             arg = (mu + lam * sigma * sigma - x) / (math.sqrt(2.0) * sigma)
@@ -657,6 +653,7 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 
 def _fit_erfcx_series(degree: int = 24, points: int = 4000) -> np.ndarray:
     """The fit behind models._ERFCX_SERIES: least squares at Chebyshev points of the first kind."""
+    special = pytest.importorskip("scipy.special")
     t = np.cos((np.arange(points) + 0.5) * math.pi / points)
     y = 3.0 * (1.0 + t) / (1.0 - t)
     return np.polynomial.chebyshev.chebfit(t, (y + 3.0) * special.erfcx(y), degree)
@@ -691,6 +688,7 @@ class TestErfcx:
         assert np.allclose(_fit_erfcx_series(), models._ERFCX_SERIES, rtol=0.0, atol=1e-15)
 
     def test_matches_scipy_on_dense_grid(self):
+        special = pytest.importorskip("scipy.special")
         y = _erfcx_grid()
         expected = special.erfcx(y)
         assert (expected > 0).all()

@@ -208,6 +208,13 @@ def _with_k5s(graph: Graph, count: int) -> Graph:
     return Graph.from_edges(edges)
 
 
+def _tree_on_cluster() -> Graph:
+    """A 30-node Holme-Kim cluster grown to 1000 nodes as a random recursive tree."""
+    rng = np.random.default_rng(0)
+    cluster = generate_pa_tf(GrowthConfig(n=30, n0=3, m=3, p_t=0.8, seed=2))
+    return Graph.from_edges([*cluster.edges(), *((v, int(rng.integers(v))) for v in range(30, 1000))])
+
+
 # case -> (input graph or edge-list text, exit code, failed stage, files left in the network directory)
 REAL_FAILURE_FILES = {"ingest.json", "real_s_distribution.csv"}
 REAL_FILES = {f"real_{kind}_{name}" for kind in "st" for name in (
@@ -227,12 +234,19 @@ FAILURE_CASES = {
     # and CC 0 is below what p_t=0 reaches
     "empty_census": (lambda: "7 7\n", 2, "census_and_fit_real", {"ingest.json"}),
     "empty_graph": (lambda: "# no edges\n", 2, "summary", {"ingest.json"}),
+    # CC 0.006 and E/N about 1.05: m=1 and p_t=0, so each replica's S census has
+    # one support point >= 1; every replica runs, and the first to fail is reported
+    "replica": (
+        _tree_on_cluster, 3, "replicas",
+        {"ingest.json", "growth_config.json"} | REAL_FILES
+        | {f"replica_{r:02d}{suffix}" for r in range(2) for suffix in (".edges", "_s_distribution.csv")},
+    ),
 }
 
 
 @pytest.fixture(scope="module")
 def failure_run(tmp_path_factory):
-    """(exit code, report entry, files in the network directory) of one case at one worker count."""
+    """(exit code, report entry, {file name: bytes} of the network directory) of one case at one worker count."""
     root = tmp_path_factory.mktemp("failures")
     runs = {}
 
@@ -252,7 +266,7 @@ def failure_run(tmp_path_factory):
             )
             report, code = run_experiment(config)
             (entry,) = report["networks"]
-            files = {p.name for p in (out_dir / entry["name"]).iterdir()}
+            files = {p.name: p.read_bytes() for p in (out_dir / entry["name"]).iterdir()}
             runs[case, workers] = code, entry, files
         return runs[case, workers]
 
@@ -270,8 +284,10 @@ class TestFailureParity:
         assert code == expected_code
         assert entry["status"] == "failed"
         assert entry["failed_stage"] == expected_stage
-        assert "growth" not in entry and "replicas" not in entry
-        assert files == expected_files
+        assert "replicas" not in entry and "models" not in entry
+        assert ("growth" in entry) == (expected_stage == "replicas")
+        assert set(files) == expected_files
+        # the same report entry, and every file byte for byte
         assert (code, entry, files) == failure_run(case, 1)
 
 
