@@ -6,12 +6,13 @@ to the real and replica distributions, and compares best-fit parameters with
 a one-sample t-test. Everything is derived from one master seed, and the
 report is byte-identical across runs, output directories, and worker counts.
 
-One path serves every worker count: the real network's census and fits and
-each replica are executor tasks. A process pool (`workers` > 1) fits the real
-network while the main process calibrates p_t; at one worker each task runs
-when submitted, in stage order, and its `Future` holds its result or its
-exception, as a pool's does. So every task runs at every worker count, and a
-failed network reports its earliest failing stage, whatever ran first: a
+One path serves every worker count: calibration and each replica are
+executor tasks, and no graph is sent to one. A process pool (`workers` > 1)
+calibrates p_t while the main process censuses and fits the real network on
+the triangle pass its average CC already ran; at one worker each task runs
+when submitted, and its `Future` holds its result or its exception, as a
+pool's does. Results are read in stage order, so every task runs at every
+worker count, and a failed network reports its earliest failing stage: a
 real-fit failure beats a calibration failure, replica r beats replica r + 1,
 and no later stage leaves a report key or a file. Unreadable, unparsable or
 empty inputs are data failures (exit 2), unfittable series and unreachable
@@ -32,6 +33,7 @@ from .census import census, to_distribution, write_distribution_csv
 from .graph import DataError, Graph, load_edge_list, average_clustering_coefficient, write_edge_list
 from .growth import (
     CalibrationError,
+    CalibrationResult,
     ConfigError,
     GrowthConfig,
     calibrate_pt,
@@ -152,6 +154,12 @@ def _fit_both_kinds(graph: Graph, prefix: str, out_dir: Path, log_base: float) -
     return fitted
 
 
+def _calibrate(base: GrowthConfig, target_cc: float, config: ExperimentConfig, seed: int) -> CalibrationResult:
+    """Calibrate p_t for one network: the pool task, as a traced `calibrate_pt` does not pickle."""
+    tolerance, pilots = config.calibration_tolerance, config.calibration_pilots
+    return calibrate_pt(base.n, base.m, target_cc, tolerance=tolerance, pilots=pilots, seed=seed)
+
+
 def _replica_task(config: GrowthConfig, index: int, out_dir: Path, log_base: float) -> dict:
     """Generate one replica, census and fit it, and persist its artifacts.
 
@@ -224,26 +232,15 @@ def _process_network(
         stage = "summary"
         entry["summary"] = _summary(graph)
 
+        base = derive_growth_config(graph.node_count, graph.edge_count)
+        seed = derive_seed(config.seed, net_index, 0)
+        calibration_job = executor.submit(_calibrate, base, entry["summary"]["avg_cc"], config, seed)
+
         stage = "census_and_fit_real"
-        real_job = executor.submit(_fit_both_kinds, graph, "real", net_dir, config.log_base)
+        real = _fit_both_kinds(graph, "real", net_dir, config.log_base)
 
         stage = "calibration"
-        try:
-            base = derive_growth_config(graph.node_count, graph.edge_count)
-            calibration = calibrate_pt(
-                base.n,
-                base.m,
-                entry["summary"]["avg_cc"],
-                tolerance=config.calibration_tolerance,
-                pilots=config.calibration_pilots,
-                seed=derive_seed(config.seed, net_index, 0),
-            )
-        finally:
-            # the earlier stage's failure wins, as if it had run first:
-            # raised here, it replaces any exception calibration raised
-            stage = "census_and_fit_real"
-            real = real_job.result()
-            stage = "calibration"
+        calibration = calibration_job.result()
         grown_config = replace(base, p_t=calibration.p_t)
         entry["growth"] = {
             "config": grown_config.metadata(),

@@ -9,7 +9,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from adjfactor import (
     Graph,
@@ -146,15 +145,16 @@ def test_erfc():
 
 
 def test_emg():
+    for x in np.linspace(-5.0, 40.0, 200):
+        expected = 0.43 * math.exp(-0.43 * (x - 2.0)) if x >= 2.0 else 0.0
+        assert abs(emg_model(float(x), 0.43, 2.0, 0.0) - expected) <= 1e-12
+
+    quad = pytest.importorskip("scipy.integrate").quad
     lam, mu, sigma = 0.02, 6.82, 5.08
     low = mu - 10 * sigma - 20 / lam
     high = mu + 10 * sigma + 20 / lam
     integral, _ = quad(lambda x: float(emg_model(x, lam, mu, sigma)), low, high, limit=400)
     assert abs(integral - 1.0) <= 1e-6
-
-    for x in np.linspace(-5.0, 40.0, 200):
-        expected = 0.43 * math.exp(-0.43 * (x - 2.0)) if x >= 2.0 else 0.0
-        assert abs(emg_model(float(x), 0.43, 2.0, 0.0) - expected) <= 1e-12
     passed("EMG: integral 1 within 1e-6 for (0.02, 6.82, 5.08); sigma=0 limit exact to 1e-12")
 
 

@@ -10,6 +10,7 @@ from adjfactor import (
     Graph,
     GrowthConfig,
     generate_pa_tf,
+    graph as graph_module,
     one_sample_t_test,
     pipeline,
     run_experiment,
@@ -296,10 +297,11 @@ class TestFailureClasses:
 
     @pytest.mark.parametrize(
         "target, error",
-        # census runs for the real network; the pipeline calls generate_pa_tf only
-        # for replicas (pilots call it in growth's namespace); a monkeypatch
-        # reaches only this process, so both run inline
-        [("census", ValueError), ("generate_pa_tf", TypeError)],
+        # census runs for the real network and calibrate_pt for calibration; the
+        # pipeline calls generate_pa_tf only for replicas (pilots call it in
+        # growth's namespace); a monkeypatch reaches only this process, so all
+        # three run inline
+        [("census", ValueError), ("calibrate_pt", ZeroDivisionError), ("generate_pa_tf", TypeError)],
     )
     def test_bug_escapes(self, synthetic_input, tmp_path, monkeypatch, target, error):
         def broken(*args, **kwargs):
@@ -314,8 +316,8 @@ class TestFailureClasses:
     @pytest.mark.parametrize("log_base, error", [("10", TypeError), (0.0, ValueError)])
     def test_error_in_real_fit_escapes(self, synthetic_input, tmp_path, log_base, error, workers):
         # set after construction, the log base passes the config's check and
-        # reaches the S fit as a task argument, so with workers > 1 the fit's
-        # own check raises in a pool worker under any start method
+        # reaches the S fit, whose own check raises; the main process fits the
+        # real network at every worker count
         config = small_experiment_config(synthetic_input, tmp_path / "out", workers=workers)
         config.log_base = log_base
         with pytest.raises(error, match="log_base"):
@@ -324,12 +326,21 @@ class TestFailureClasses:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_error_writing_real_output_escapes(self, synthetic_input, tmp_path, workers):
         # a directory stands where the real S distribution is written, so the
-        # real network's task raises, with workers > 1 in a pool worker under
-        # any start method
+        # main process raises while it fits the real network
         out_dir = tmp_path / "out"
         (out_dir / synthetic_input.stem / "real_s_distribution.csv").mkdir(parents=True)
         config = small_experiment_config(synthetic_input, out_dir, workers=workers)
         with pytest.raises(IsADirectoryError):
+            run_experiment(config)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_error_in_calibration_escapes(self, synthetic_input, tmp_path, workers):
+        # set after construction, the pilot count passes the config's check and
+        # reaches calibration as a task argument, so with workers > 1
+        # calibration's own check raises in a pool worker under any start method
+        config = small_experiment_config(synthetic_input, tmp_path / "out", workers=workers)
+        config.calibration_pilots = 0
+        with pytest.raises(ConfigError, match="pilots"):
             run_experiment(config)
 
 
@@ -346,6 +357,25 @@ def test_every_output_file_identical_across_worker_counts(experiment_run, synthe
     assert len(serial) > 20
     for name, content in serial.items():
         assert parallel[name] == content, name
+
+
+def test_main_process_runs_one_triangle_pass_per_network(synthetic_input, tmp_path, monkeypatch):
+    # calibration's pilots and the replicas run on the pool; the real network's
+    # census and fits reuse the pass its average CC ran. Workers keep their
+    # own count, whatever the start method
+    passes = []
+    forward = graph_module._forward
+
+    def counted(graph):
+        passes.append(graph.node_count)
+        return forward(graph)
+
+    monkeypatch.setattr(graph_module, "_forward", counted)
+    datasets = [str(synthetic_input)] * 2
+    config = small_experiment_config(synthetic_input, tmp_path / "out", datasets=datasets, workers=2)
+    _, code = run_experiment(config)
+    assert code == 0
+    assert passes == [600, 600]
 
 
 class TestTableExports:
