@@ -1,13 +1,17 @@
-"""Command-line interface.
+"""Command-line interface: a thin shell over the library.
 
-Exit codes: 0 success, 1 usage error, 2 data error (unreadable or malformed
-input, an invalid parameter value, an unwritable output), 3 numeric failure.
-Any other exception is a bug and propagates.
+The options of `experiment`, `calibrate` and `fit` are named after the
+library's parameters, and only those given are passed on, so the defaults and
+the checks are those of `ExperimentConfig`, `calibrate_pt` and `fit`. Exit
+codes: 0 success, 1 usage error, 2 data error (unreadable or malformed input,
+an invalid parameter value, an unwritable output), 3 numeric failure; each
+failure is reported on stderr. Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -16,17 +20,23 @@ from pathlib import Path
 
 from .census import census, read_distribution_csv, to_distribution, write_census_csv, write_distribution_csv
 from .graph import DataError, load_edge_list, write_edge_list
-from .growth import CalibrationError, ConfigError, GrowthConfig, calibrate_pt, generate_pa_tf
-from .models import EMG, REFERENCE_RULES, S_COMPLEX, FitError, fit
-from .pipeline import DATA_ERROR, NUMERIC_ERROR, ExperimentConfig, _summary, _write_json, run_experiment
+from .growth import CalibrationError, ConfigError, GrowthConfig, calibrate_pt, generate_pa_tf, seed_ring_size
+from .models import REFERENCE_RULES, FitError, fit
+from .pipeline import DATA_ERROR, MODEL_BY_KIND, NUMERIC_ERROR, ExperimentConfig, _summary, _write_json, run_experiment
 
 USAGE_ERROR = 1
 
-_MODEL_ALIASES = {"s": S_COMPLEX, "t": EMG, S_COMPLEX: S_COMPLEX, EMG: EMG}
+_MODEL_ALIASES = {**MODEL_BY_KIND, **{model: model for model in MODEL_BY_KIND.values()}}
+_LOG_BASES = {"10": 10.0, "e": math.e}
 
 
-def _log_base(text: str) -> float:
-    return 10.0 if text == "10" else math.e
+def _given(args: argparse.Namespace, target) -> dict:
+    """The options the user gave that name a parameter of target; target's own defaults supply the rest."""
+    names = inspect.signature(target).parameters
+    given = {name: value for name, value in vars(args).items() if name in names and value is not None}
+    if "log_base" in given:
+        given["log_base"] = _LOG_BASES[given["log_base"]]
+    return given
 
 
 def _write_output(payload: dict, out: str | None) -> None:
@@ -38,12 +48,7 @@ def _write_output(payload: dict, out: str | None) -> None:
 
 
 def cmd_summarize(args: argparse.Namespace) -> int:
-    graph, _ = load_edge_list(args.path)
-    if graph.node_count == 0:
-        payload = {"nodes": 0, "edges": 0, "error": "empty graph"}
-        print(json.dumps(payload, sort_keys=True))
-        return DATA_ERROR
-    summary = _summary(graph)
+    summary = _summary(load_edge_list(args.path)[0])
     if args.format == "csv":
         print("nodes,edges,avg_cc")
         print(f"{summary['nodes']},{summary['edges']},{summary['avg_cc']!r}")
@@ -58,18 +63,13 @@ def cmd_census(args: argparse.Namespace) -> int:
     series = to_distribution(result)
     if args.per_unit:
         write_census_csv(result, args.per_unit)
-    if args.out:
-        write_distribution_csv(series, args.out)
-    else:
-        write_distribution_csv(series, sys.stdout)
+    write_distribution_csv(series, args.out or sys.stdout)
     return 0
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    n0 = args.n0 if args.n0 is not None else max(args.edges_per_node, 3)
-    config = GrowthConfig(
-        n=args.nodes, n0=n0, m=args.edges_per_node, p_t=args.pt, seed=args.seed
-    )
+    n0 = args.n0 if args.n0 is not None else seed_ring_size(args.edges_per_node)
+    config = GrowthConfig(n=args.nodes, n0=n0, m=args.edges_per_node, p_t=args.pt, seed=args.seed)
     graph = generate_pa_tf(config)
     write_edge_list(graph, args.out)
     meta = config.metadata()
@@ -80,37 +80,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    result = calibrate_pt(
-        args.nodes,
-        args.edges_per_node,
-        args.target_cc,
-        tolerance=args.tolerance,
-        pilots=args.pilots,
-        seed=args.seed,
-    )
-    _write_output(asdict(result), args.out)
+    _write_output(asdict(calibrate_pt(**_given(args, calibrate_pt))), args.out)
     return 0
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    series = read_distribution_csv(args.series)
-    result = fit(_MODEL_ALIASES[args.model], series, log_base=_log_base(args.log_base))
-    _write_output(asdict(result), args.out)
+    args.model = _MODEL_ALIASES[args.model]
+    args.series = read_distribution_csv(args.series)
+    _write_output(asdict(fit(**_given(args, fit))), args.out)
     return 0
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(
-        datasets=args.paths,
-        out_dir=Path(args.out),
-        replicas=args.replicas,
-        seed=args.seed,
-        calibration_tolerance=args.tolerance,
-        calibration_pilots=args.pilots,
-        log_base=_log_base(args.log_base),
-        reference_rule=args.reference_rule,
-        workers=args.workers,
-    )
+    config = ExperimentConfig(**_given(args, ExperimentConfig))
     report, code = run_experiment(config)
     failed = [n["name"] for n in report["networks"] if n["status"] != "ok"]
     print(f"report written to {config.out_dir / 'report.json'}")
@@ -144,37 +126,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", "--edges-per-node", type=int, required=True)
     p.add_argument("--pt", type=float, required=True, help="triad-formation probability")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n0", type=int, default=None, help="seed-ring size (default max(m, 3))")
+    p.add_argument("--n0", type=int, help="seed-ring size (default max(m, 3))")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("calibrate", help="find p_t matching a target clustering coefficient")
-    p.add_argument("--nodes", type=int, required=True)
-    p.add_argument("-m", "--edges-per-node", type=int, required=True)
+    p.add_argument("--nodes", dest="n", type=int, required=True)
+    p.add_argument("-m", "--edges-per-node", dest="m", type=int, required=True)
     p.add_argument("--target-cc", type=float, required=True)
-    p.add_argument("--tolerance", type=float, default=0.02)
-    p.add_argument("--pilots", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tolerance", type=float)
+    p.add_argument("--pilots", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("fit", help="fit a model to a distribution CSV")
     p.add_argument("series", help='CSV with header "factor,count,freq"')
     p.add_argument("--model", choices=sorted(_MODEL_ALIASES), required=True)
-    p.add_argument("--log-base", choices=("10", "e"), default="10")
+    p.add_argument("--log-base", choices=_LOG_BASES)
     p.add_argument("--out")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("experiment", help="full real-vs-grown comparison pipeline")
-    p.add_argument("paths", nargs="+", help="edge-list files of the real networks")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--replicas", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=0.02, help="calibration tolerance")
-    p.add_argument("--pilots", type=int, default=5, help="pilot networks per calibration probe")
-    p.add_argument("--log-base", choices=("10", "e"), default="10")
-    p.add_argument("--reference-rule", choices=REFERENCE_RULES, default="upper-half")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("datasets", nargs="+", metavar="paths", help="edge-list files of the real networks")
+    p.add_argument("--out", dest="out_dir", required=True, help="output directory")
+    p.add_argument("--replicas", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tolerance", dest="calibration_tolerance", type=float, help="calibration tolerance")
+    p.add_argument("--pilots", dest="calibration_pilots", type=int, help="pilot networks per calibration probe")
+    p.add_argument("--log-base", choices=_LOG_BASES)
+    p.add_argument("--reference-rule", choices=REFERENCE_RULES)
+    p.add_argument("--workers", type=int)
     p.set_defaults(func=cmd_experiment)
 
     return parser

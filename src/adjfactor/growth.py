@@ -11,6 +11,7 @@ or PA when there is none.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import asdict, dataclass
 from typing import Iterator, Sequence
 
@@ -54,6 +55,8 @@ class GrowthConfig:
             raise ConfigError(f"n must be >= n0, got n={self.n}, n0={self.n0}")
         if not 0.0 <= self.p_t <= 1.0:
             raise ConfigError(f"p_t must be in [0, 1], got {self.p_t}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n0 < 3 and self.n > self.n0:
             # an edgeless/near-edgeless seed leaves degree-proportional
             # sampling undefined for incoming nodes
@@ -136,6 +139,11 @@ def generate_pa_tf(config: GrowthConfig) -> Graph:
     return Graph._from_pairs(ends[0::2], ends[1::2], config.n)
 
 
+def seed_ring_size(m: int) -> int:
+    """Seed-ring size for m edges per node: m, and at least the 3 nodes growth needs."""
+    return max(m, 3)
+
+
 def derive_growth_config(nodes: int, edges: int) -> GrowthConfig:
     """Match a real network's size: m from the edge/node ratio, ring seed.
 
@@ -145,12 +153,14 @@ def derive_growth_config(nodes: int, edges: int) -> GrowthConfig:
     if nodes < 1:
         raise ConfigError("nodes must be positive")
     m = max(1, round(edges / nodes))
-    n0 = max(m, 3)
+    n0 = seed_ring_size(m)
     return GrowthConfig(n=max(nodes, n0), n0=n0, m=m, p_t=0.0, seed=0)
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
     """Deterministic 64-bit child seed from a master seed and a counter path."""
+    if master_seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {master_seed}")
     sequence = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key))
     return int(sequence.generate_state(1, np.uint64)[0])
 
@@ -176,11 +186,13 @@ def calibrate_pt(
     p_t -> CC curve monotone-stable and calibration deterministic. The result
     lists each probe's [p_t, pilot-mean CC] in probe order.
     """
-    if tolerance <= 0:
-        raise ConfigError("tolerance must be positive")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ConfigError(f"tolerance must be finite and > 0, got {tolerance!r}")
+    if not math.isfinite(target_cc):
+        raise ConfigError(f"target_cc must be finite, got {target_cc!r}")
     if pilots < 1:
         raise ConfigError("pilots must be >= 1")
-    n0 = max(m, 3)
+    n0 = seed_ring_size(m)
     pilot_seeds = [derive_seed(seed, i) for i in range(pilots)]
     probes: list[list[float]] = []
 

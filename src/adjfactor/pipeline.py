@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -74,10 +75,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replicas < 1:
             raise ConfigError("replicas must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.calibration_tolerance <= 0:
-            raise ConfigError("calibration_tolerance must be positive")
+        if not (math.isfinite(self.calibration_tolerance) and self.calibration_tolerance > 0):
+            raise ConfigError(f"calibration_tolerance must be finite and > 0, got {self.calibration_tolerance!r}")
         if self.calibration_pilots < 1:
             raise ConfigError("calibration_pilots must be >= 1")
         if self.reference_rule not in REFERENCE_RULES:
@@ -326,7 +329,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
 
     code = 0
     networks = []
-    with ProcessPoolExecutor(max_workers=config.workers) if config.workers > 1 else _Inline() as executor:
+    workers = min(config.workers, config.replicas)  # no stage has more tasks in flight; a forked pool starts them all
+    with ProcessPoolExecutor(max_workers=workers) if config.workers > 1 else _Inline() as executor:
         for index, (dataset, name) in enumerate(zip(config.datasets, names)):
             entry, failure = _process_network(index, dataset, name, config, executor)
             networks.append(entry)

@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 import adjfactor
-from adjfactor import cli
+from adjfactor import ExperimentConfig, cli
 from adjfactor.cli import main
 from helpers import complete_graph, cycle_graph
 
@@ -44,10 +45,11 @@ class TestSummarize:
     def test_empty_file(self, tmp_path, capsys):
         path = tmp_path / "empty.txt"
         path.write_text("")
-        assert main(["summarize", str(path)]) == 2
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["error"] == "empty graph"
-        assert payload["nodes"] == 0 and payload["edges"] == 0
+        for fmt in ("json", "csv"):
+            assert main(["summarize", str(path), "--format", fmt]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: empty graph\n"
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["summarize", str(tmp_path / "nope.txt")]) == 2
@@ -134,6 +136,10 @@ class TestCalibrate:
         )
         assert code == 3
         assert "achievable" in capsys.readouterr().err
+
+    def test_defaults_are_the_library_s(self, capsys):
+        assert main(["calibrate", "--nodes", "300", "-m", "2", "--target-cc", "0.2"]) == 0
+        assert json.loads(capsys.readouterr().out) == asdict(adjfactor.calibrate_pt(300, 2, 0.2))
 
 
 class TestFit:
@@ -283,6 +289,42 @@ def test_experiment_cli_smoke(synthetic_input, tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["networks"][0]["status"] == "ok"
     assert (out / "table1.csv").exists() and (out / "table2.csv").exists()
+
+
+class TestExperimentOptions:
+    """Each option reaches `ExperimentConfig` under its own name; the run itself is not started."""
+
+    @pytest.fixture
+    def configs(self, monkeypatch):
+        built = []
+
+        def record(config):
+            built.append(config)
+            return {"networks": []}, 0
+
+        monkeypatch.setattr(cli, "run_experiment", record)
+        return built
+
+    def test_no_optional_flag_leaves_every_default_to_the_library(self, configs, tmp_path):
+        assert main(["experiment", "a.txt", "b.txt", "--out", str(tmp_path)]) == 0
+        assert configs == [ExperimentConfig(datasets=["a.txt", "b.txt"], out_dir=tmp_path)]
+
+    def test_every_flag_reaches_the_config(self, configs, tmp_path):
+        argv = ["experiment", "a.txt", "--out", str(tmp_path), "--replicas", "3", "--seed", "5",
+                "--tolerance", "0.05", "--pilots", "2", "--log-base", "e", "--reference-rule", "all",
+                "--workers", "2"]
+        assert main(argv) == 0
+        assert configs == [
+            ExperimentConfig(
+                datasets=["a.txt"], out_dir=tmp_path, replicas=3, seed=5, calibration_tolerance=0.05,
+                calibration_pilots=2, log_base=math.e, reference_rule="all", workers=2,
+            )
+        ]
+
+    @pytest.mark.parametrize("flag", [["--log-base", "2"], ["--reference-rule", "median"]])
+    def test_unknown_choice_is_a_usage_error(self, configs, tmp_path, flag):
+        assert main(["experiment", "a.txt", "--out", str(tmp_path), *flag]) == 1
+        assert configs == []
 
 
 def test_experiment_runs_with_scipy_blocked(synthetic_input, experiment_run, tmp_path):

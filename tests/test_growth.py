@@ -5,6 +5,7 @@ import pytest
 
 from adjfactor import (
     CalibrationError,
+    ConfigError,
     Graph,
     GrowthConfig,
     average_clustering_coefficient,
@@ -40,6 +41,7 @@ class TestConfig:
             dict(n=10, n0=3, m=2, p_t=1.5, seed=0),
             dict(n=10, n0=3, m=2, p_t=-0.1, seed=0),
             dict(n=10, n0=2, m=1, p_t=0.0, seed=0),
+            dict(n=10, n0=3, m=2, p_t=0.5, seed=-1),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -282,9 +284,21 @@ class TestCalibrate:
         assert info.value.achievable_cc is None
         assert len(calls) == 2 + 20
 
-    def test_invalid_tolerance(self):
-        with pytest.raises(ValueError):
-            calibrate_pt(100, 2, 0.2, tolerance=0.0)
+    @pytest.mark.parametrize(
+        "target, tolerance, name",
+        [(0.2, 0.0, "tolerance"), (0.2, float("nan"), "tolerance"), (0.2, float("inf"), "tolerance"),
+         (float("nan"), 0.02, "target_cc")],
+        ids=["zero", "nan", "inf", "nan-target"],
+    )
+    def test_invalid_tolerance(self, target, tolerance, name):
+        with pytest.raises(ConfigError, match=name):
+            calibrate_pt(100, 2, target, tolerance=tolerance)
+
+
+def test_negative_master_seed_rejected_before_any_pilot(monkeypatch):
+    monkeypatch.setattr(growth, "_pilot_mean_cc", None)  # a pilot would raise TypeError
+    with pytest.raises(ConfigError, match="seed"):
+        calibrate_pt(100, 2, 0.2, seed=-1)
 
 
 def test_derive_seed_is_stable_and_distinct():

@@ -184,9 +184,9 @@ class TestFailureHandling:
 
     @pytest.mark.parametrize(
         "setting",
-        [{"workers": 0}, {"calibration_tolerance": 0.0}, {"calibration_pilots": 0},
-         {"reference_rule": "median"}],
-        ids=["workers", "tolerance", "pilots", "reference_rule"],
+        [{"workers": 0}, {"seed": -1}, {"calibration_tolerance": 0.0}, {"calibration_tolerance": float("nan")},
+         {"calibration_pilots": 0}, {"reference_rule": "median"}],
+        ids=["workers", "seed", "tolerance", "nan-tolerance", "pilots", "reference_rule"],
     )
     def test_invalid_setting_rejected_before_any_work(self, tmp_path, setting):
         with pytest.raises(ValueError):
@@ -376,6 +376,22 @@ def test_main_process_runs_one_triangle_pass_per_network(synthetic_input, tmp_pa
     _, code = run_experiment(config)
     assert code == 0
     assert passes == [600, 600]
+
+
+def test_pool_is_no_larger_than_the_replica_stage(synthetic_input, tmp_path, monkeypatch):
+    # no stage has more than `replicas` tasks in flight, and a forked pool
+    # starts all its workers at the first task; the recorder starts none
+    asked = []
+
+    def recorder(max_workers):
+        asked.append(max_workers)
+        return pipeline._Inline()
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", recorder)
+    config = small_experiment_config(synthetic_input, tmp_path / "out", workers=64, replicas=2)
+    _, code = run_experiment(config)
+    assert code == 0
+    assert asked == [2]
 
 
 class TestTableExports:
