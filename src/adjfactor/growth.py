@@ -10,8 +10,8 @@ or PA when there is none.
 
 from __future__ import annotations
 
-import itertools
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Iterator, Sequence
 
@@ -22,6 +22,12 @@ from .graph import Graph, average_clustering_coefficient
 
 class ConfigError(ValueError):
     """A parameter value is out of range or inconsistent with the others."""
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """Raise ConfigError unless value is an integer >= minimum."""
+    if not (isinstance(value, numbers.Integral) and value >= minimum):
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 class CalibrationError(RuntimeError):
@@ -47,16 +53,12 @@ class GrowthConfig:
     seed: int
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ConfigError(f"m must be >= 1, got {self.m}")
-        if self.n0 < self.m:
-            raise ConfigError(f"n0 must be >= m, got n0={self.n0}, m={self.m}")
-        if self.n < self.n0:
-            raise ConfigError(f"n must be >= n0, got n={self.n}, n0={self.n0}")
+        _check_count("m", self.m, 1)
+        _check_count("n0", self.n0, self.m)
+        _check_count("n", self.n, self.n0)
         if not 0.0 <= self.p_t <= 1.0:
             raise ConfigError(f"p_t must be in [0, 1], got {self.p_t}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        _check_count("seed", self.seed, 0)
         if self.n0 < 3 and self.n > self.n0:
             # an edgeless/near-edgeless seed leaves degree-proportional
             # sampling undefined for incoming nodes
@@ -104,31 +106,32 @@ def _grow(config: GrowthConfig) -> list[int]:
     neighbor_lists: list[list[int]] = [[] for _ in range(n)]
     endpoints: list[int] = []  # both ends of every edge: a uniform entry is degree-proportional
 
-    def add_edge(u: int, w: int) -> None:
+    for u in range(config.seed_edge_count()):
+        w = (u + 1) % n0
         neighbor_lists[u].append(w)
         neighbor_lists[w].append(u)
         endpoints.extend((u, w))
-
-    for i in range(config.seed_edge_count()):
-        add_edge(i, (i + 1) % n0)
 
     for v in range(n0, n):
         own: set[int] = set()
         for k in range(m):
             tf = k > 0 and draw() < p_t
             pool = neighbor_lists[target] if tf else endpoints
-            for misses in itertools.count(1):
-                w = pool[int(draw() * len(pool))]
-                if w != v and w not in own:
-                    break
+            w = pool[int(draw() * len(pool))]
+            misses = 0
+            while w == v or w in own:
+                misses += 1
                 if tf and misses == _TF_TRIES:  # exact scan; PA if no neighbor is eligible
                     pool = [c for c in pool if c != v and c not in own]
                     if not pool:
                         tf, pool = False, endpoints
+                w = pool[int(draw() * len(pool))]
             if not tf:
                 target = w
             own.add(w)
-            add_edge(v, w)
+            neighbor_lists[v].append(w)
+            neighbor_lists[w].append(v)
+            endpoints.extend((v, w))
 
     return endpoints
 
@@ -150,8 +153,7 @@ def derive_growth_config(nodes: int, edges: int) -> GrowthConfig:
     p_t starts at 0; calibrate it separately against the target clustering
     coefficient and swap it in with dataclasses.replace.
     """
-    if nodes < 1:
-        raise ConfigError("nodes must be positive")
+    _check_count("nodes", nodes, 1)
     m = max(1, round(edges / nodes))
     n0 = seed_ring_size(m)
     return GrowthConfig(n=max(nodes, n0), n0=n0, m=m, p_t=0.0, seed=0)
@@ -159,8 +161,7 @@ def derive_growth_config(nodes: int, edges: int) -> GrowthConfig:
 
 def derive_seed(master_seed: int, *key: int) -> int:
     """Deterministic 64-bit child seed from a master seed and a counter path."""
-    if master_seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {master_seed}")
+    _check_count("seed", master_seed, 0)
     sequence = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key))
     return int(sequence.generate_state(1, np.uint64)[0])
 
@@ -190,8 +191,7 @@ def calibrate_pt(
         raise ConfigError(f"tolerance must be finite and > 0, got {tolerance!r}")
     if not math.isfinite(target_cc):
         raise ConfigError(f"target_cc must be finite, got {target_cc!r}")
-    if pilots < 1:
-        raise ConfigError("pilots must be >= 1")
+    _check_count("pilots", pilots, 1)
     n0 = seed_ring_size(m)
     pilot_seeds = [derive_seed(seed, i) for i in range(pilots)]
     probes: list[list[float]] = []

@@ -37,6 +37,7 @@ from .growth import (
     CalibrationResult,
     ConfigError,
     GrowthConfig,
+    _check_count,
     calibrate_pt,
     derive_growth_config,
     derive_seed,
@@ -73,16 +74,12 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.replicas < 1:
-            raise ConfigError("replicas must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        _check_count("replicas", self.replicas, 1)
+        _check_count("seed", self.seed, 0)
+        _check_count("workers", self.workers, 1)
         if not (math.isfinite(self.calibration_tolerance) and self.calibration_tolerance > 0):
             raise ConfigError(f"calibration_tolerance must be finite and > 0, got {self.calibration_tolerance!r}")
-        if self.calibration_pilots < 1:
-            raise ConfigError("calibration_pilots must be >= 1")
+        _check_count("calibration_pilots", self.calibration_pilots, 1)
         if self.reference_rule not in REFERENCE_RULES:
             raise ConfigError(f"reference_rule must be one of {REFERENCE_RULES}, got {self.reference_rule!r}")
         if not _valid_log_base(self.log_base):

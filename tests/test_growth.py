@@ -28,6 +28,8 @@ STREAM_DIGESTS = {
     GrowthConfig(n=40, n0=6, m=5, p_t=1.0, seed=3): "e2537731e4ca22ae15005401310c300f5388e4e7598e33372473177b084f3509",
     # dense, shaped like Email-Eu-core
     GrowthConfig(n=1005, n0=16, m=16, p_t=0.9, seed=1): "0bda93cf7fd53581428a57b108e807bd43776bde1726db12131a5ce626b29dbe",
+    # grow-10k's shape: 343 exact scans, 2 of which fall back to PA
+    GrowthConfig(n=10000, n0=5, m=5, p_t=0.6, seed=1): "ccc0c42af733f49c5dafdad7e1deb466b4e425e76f27f9a803ad556cb26e89a2",
 }
 
 
@@ -42,10 +44,14 @@ class TestConfig:
             dict(n=10, n0=3, m=2, p_t=-0.1, seed=0),
             dict(n=10, n0=2, m=1, p_t=0.0, seed=0),
             dict(n=10, n0=3, m=2, p_t=0.5, seed=-1),
+            dict(n=300.0, n0=3, m=2, p_t=0.5, seed=0),
+            dict(n=10, n0=3.0, m=2, p_t=0.5, seed=0),
+            dict(n=10, n0=3, m=2.0, p_t=0.5, seed=0),
+            dict(n=10, n0=3, m=2, p_t=0.5, seed=1.5),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             GrowthConfig(**kwargs)
 
     def test_metadata_records_rule_choices(self):
@@ -285,14 +291,15 @@ class TestCalibrate:
         assert len(calls) == 2 + 20
 
     @pytest.mark.parametrize(
-        "target, tolerance, name",
-        [(0.2, 0.0, "tolerance"), (0.2, float("nan"), "tolerance"), (0.2, float("inf"), "tolerance"),
-         (float("nan"), 0.02, "target_cc")],
-        ids=["zero", "nan", "inf", "nan-target"],
+        "target, tolerance, pilots, name",
+        [(0.2, 0.0, 5, "tolerance"), (0.2, float("nan"), 5, "tolerance"), (0.2, float("inf"), 5, "tolerance"),
+         (float("nan"), 0.02, 5, "target_cc"), (0.2, 0.02, 1.5, "pilots")],
+        ids=["zero", "nan", "inf", "nan-target", "fractional-pilots"],
     )
-    def test_invalid_tolerance(self, target, tolerance, name):
+    def test_invalid_tolerance(self, monkeypatch, target, tolerance, pilots, name):
+        monkeypatch.setattr(growth, "_pilot_mean_cc", None)  # a pilot would raise TypeError
         with pytest.raises(ConfigError, match=name):
-            calibrate_pt(100, 2, target, tolerance=tolerance)
+            calibrate_pt(100, 2, target, tolerance=tolerance, pilots=pilots)
 
 
 def test_negative_master_seed_rejected_before_any_pilot(monkeypatch):

@@ -185,12 +185,16 @@ class TestFailureHandling:
     @pytest.mark.parametrize(
         "setting",
         [{"workers": 0}, {"seed": -1}, {"calibration_tolerance": 0.0}, {"calibration_tolerance": float("nan")},
-         {"calibration_pilots": 0}, {"reference_rule": "median"}],
-        ids=["workers", "seed", "tolerance", "nan-tolerance", "pilots", "reference_rule"],
+         {"calibration_pilots": 0}, {"reference_rule": "median"}, {"replicas": 2.5}, {"seed": 1.5},
+         {"workers": 1.5}, {"calibration_pilots": 1.5}],
+        ids=["workers", "seed", "tolerance", "nan-tolerance", "pilots", "reference_rule", "fractional-replicas",
+             "fractional-seed", "fractional-workers", "fractional-pilots"],
     )
-    def test_invalid_setting_rejected_before_any_work(self, tmp_path, setting):
-        with pytest.raises(ValueError):
-            ExperimentConfig(datasets=["x"], out_dir=tmp_path, **setting)
+    def test_invalid_setting_rejected_before_any_work(self, synthetic_input, tmp_path, setting):
+        out_dir = tmp_path / "out"
+        with pytest.raises(ConfigError, match=next(iter(setting))):
+            run_experiment(small_experiment_config(synthetic_input, out_dir, **setting))
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("log_base", BAD_LOG_BASES)
     def test_bad_log_base_rejected_before_any_output(self, synthetic_input, tmp_path, log_base):
