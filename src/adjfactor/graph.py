@@ -6,7 +6,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -45,8 +45,9 @@ class Graph:
     parsers clean theirs, and growth makes them so. `neighbors(v)` and
     `edges()` give ascending order. Instances are safe for concurrent reads.
     One slot is filled lazily: `_wedges` holds the graph's closed-wedge kernel
-    once `_closed_wedges` has computed it, and is never pickled. Concurrent
-    readers may both compute it; the results are equal, and either is kept.
+    once `_closed_wedges` has computed it. Concurrent readers may both compute
+    it; the results are equal, and either is kept. A graph stays in the process
+    that built it: pickling, copying or hashing one raises TypeError.
     """
 
     # memoryviews of the CSR arrays: an item read gives a Python int, which keeps
@@ -144,15 +145,8 @@ class Graph:
             return NotImplemented
         return np.array_equal(self.indptr, other.indptr) and np.array_equal(self.indices, other.indices)
 
-    def __hash__(self) -> int:
-        return hash((bytes(self._indptr), bytes(self._indices)))
-
-    def __getstate__(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.indptr, self.indices
-
-    def __setstate__(self, state: tuple[np.ndarray, np.ndarray]) -> None:
-        self._indptr, self._indices = (_frozen_view(a) for a in state)
-        self._wedges = None
+    def __reduce__(self) -> NoReturn:
+        raise TypeError("a Graph stays in the process that built it; send its counts, not the graph")
 
     def __repr__(self) -> str:
         return f"Graph(nodes={self.node_count}, edges={self.edge_count})"

@@ -25,8 +25,8 @@ class ConfigError(ValueError):
 
 
 def _check_count(name: str, value, minimum: int) -> None:
-    """Raise ConfigError unless value is an integer >= minimum."""
-    if not (isinstance(value, numbers.Integral) and value >= minimum):
+    """Raise ConfigError unless value is an integer >= minimum; a bool is not a count."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum):
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
@@ -56,7 +56,7 @@ class GrowthConfig:
         _check_count("m", self.m, 1)
         _check_count("n0", self.n0, self.m)
         _check_count("n", self.n, self.n0)
-        if not 0.0 <= self.p_t <= 1.0:
+        if isinstance(self.p_t, bool) or not 0.0 <= self.p_t <= 1.0:
             raise ConfigError(f"p_t must be in [0, 1], got {self.p_t}")
         _check_count("seed", self.seed, 0)
         if self.n0 < 3 and self.n > self.n0:
@@ -154,6 +154,7 @@ def derive_growth_config(nodes: int, edges: int) -> GrowthConfig:
     coefficient and swap it in with dataclasses.replace.
     """
     _check_count("nodes", nodes, 1)
+    _check_count("edges", edges, 0)
     m = max(1, round(edges / nodes))
     n0 = seed_ring_size(m)
     return GrowthConfig(n=max(nodes, n0), n0=n0, m=m, p_t=0.0, seed=0)
@@ -187,7 +188,7 @@ def calibrate_pt(
     p_t -> CC curve monotone-stable and calibration deterministic. The result
     lists each probe's [p_t, pilot-mean CC] in probe order.
     """
-    if not (math.isfinite(tolerance) and tolerance > 0):
+    if isinstance(tolerance, bool) or not (math.isfinite(tolerance) and tolerance > 0):
         raise ConfigError(f"tolerance must be finite and > 0, got {tolerance!r}")
     if not math.isfinite(target_cc):
         raise ConfigError(f"target_cc must be finite, got {target_cc!r}")

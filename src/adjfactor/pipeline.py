@@ -6,17 +6,17 @@ to the real and replica distributions, and compares best-fit parameters with
 a one-sample t-test. Everything is derived from one master seed, and the
 report is byte-identical across runs, output directories, and worker counts.
 
-One path serves every worker count: calibration and each replica are
-executor tasks, and no graph is sent to one. A process pool (`workers` > 1)
-calibrates p_t while the main process censuses and fits the real network on
-the triangle pass its average CC already ran; at one worker each task runs
-when submitted, and its `Future` holds its result or its exception, as a
-pool's does. Results are read in stage order, so every task runs at every
-worker count, and a failed network reports its earliest failing stage: a
-real-fit failure beats a calibration failure, replica r beats replica r + 1,
-and no later stage leaves a report key or a file. Unreadable, unparsable or
-empty inputs are data failures (exit 2), unfittable series and unreachable
-targets numeric ones (exit 3); any other exception is a bug and propagates.
+One path serves every worker count: calibration and each replica are executor
+tasks. A `Graph` raises TypeError when pickled, so a process pool
+(`workers` > 1) refuses one; at one worker each task runs when submitted and
+pickles nothing. The pool calibrates p_t while the main process censuses and
+fits the real network on the triangle pass its average CC already ran. Results
+are read in stage order, so every task runs at every worker count, and a
+failed network reports its earliest failing stage: a real-fit failure beats a
+calibration failure, replica r beats replica r + 1, and no later stage leaves
+a report key or a file. Unreadable, unparsable or empty inputs are data
+failures (exit 2), unfittable series and unreachable targets numeric ones
+(exit 3); any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -74,11 +75,14 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if isinstance(self.datasets, (str, bytes, os.PathLike)) or not self.datasets:
+            raise ConfigError(f"datasets must be a non-empty list of paths, got {self.datasets!r}")
         _check_count("replicas", self.replicas, 1)
         _check_count("seed", self.seed, 0)
         _check_count("workers", self.workers, 1)
-        if not (math.isfinite(self.calibration_tolerance) and self.calibration_tolerance > 0):
-            raise ConfigError(f"calibration_tolerance must be finite and > 0, got {self.calibration_tolerance!r}")
+        tolerance = self.calibration_tolerance
+        if isinstance(tolerance, bool) or not (math.isfinite(tolerance) and tolerance > 0):
+            raise ConfigError(f"calibration_tolerance must be finite and > 0, got {tolerance!r}")
         _check_count("calibration_pilots", self.calibration_pilots, 1)
         if self.reference_rule not in REFERENCE_RULES:
             raise ConfigError(f"reference_rule must be one of {REFERENCE_RULES}, got {self.reference_rule!r}")

@@ -1,5 +1,4 @@
 import io
-import pickle
 
 import numpy as np
 import pytest
@@ -330,14 +329,6 @@ class TestKernelKeptOnGraph:
                 census(pilot, "t")
         assert [id(g) for g in kernel_runs] == [id(g) for g in pilots]
 
-    def test_a_pickled_copy_runs_the_pass_once_more(self, kernel_runs):
-        g = er_graph(30, 0.3, seed=5)
-        census(g, "s")
-        copy = pickle.loads(pickle.dumps(g))
-        census(copy, "s")
-        census(copy, "t")
-        assert [id(h) for h in kernel_runs] == [id(g), id(copy)]
-
     def test_kept_arrays_are_read_only(self):
         wedges = _closed_wedges(er_graph(30, 0.3, seed=5))
         assert len(wedges.first) > 0
@@ -345,13 +336,6 @@ class TestKernelKeptOnGraph:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[:1] = 0
-
-    def test_kernel_is_never_pickled(self):
-        g = er_graph(30, 0.3, seed=5)
-        cold = pickle.dumps(g)
-        census(g, "t")
-        assert g._wedges is not None
-        assert pickle.dumps(g) == cold
 
     def test_writing_into_a_census_changes_no_later_result(self):
         g = er_graph(30, 0.3, seed=5)

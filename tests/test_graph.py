@@ -1,6 +1,8 @@
+import copy
 import io
 import pickle
 import random
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
 import pytest
@@ -242,14 +244,23 @@ class TestGraphType:
                 read(v)
         assert not g.has_edge(v, 0)
 
-    def test_csr_is_read_only_and_survives_pickling(self):
+    def test_csr_is_read_only_and_never_leaves_its_process(self):
         g = er_graph(20, 0.4, seed=2)
         with pytest.raises(ValueError):
             g.indices[0] = 1
-        copy = pickle.loads(pickle.dumps(g))
-        assert copy == g and hash(copy) == hash(g)
         with pytest.raises(ValueError):
-            copy.indptr[0] = 1
+            g.indptr[0] = 1
+        for send in (pickle.dumps, copy.copy, copy.deepcopy):
+            with pytest.raises(TypeError, match="stays in the process that built it"):
+                send(g)
+        with pytest.raises(TypeError):
+            hash(g)
+
+    def test_a_pool_refuses_a_graph(self):
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            job = pool.submit(len, [er_graph(20, 0.4, seed=2)])
+            with pytest.raises(TypeError, match="stays in the process that built it"):
+                job.result(timeout=60)
 
     def test_neighbors_sorted_and_symmetric(self):
         g = er_graph(20, 0.4, seed=2)

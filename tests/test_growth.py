@@ -48,6 +48,8 @@ class TestConfig:
             dict(n=10, n0=3.0, m=2, p_t=0.5, seed=0),
             dict(n=10, n0=3, m=2.0, p_t=0.5, seed=0),
             dict(n=10, n0=3, m=2, p_t=0.5, seed=1.5),
+            dict(n=10, n0=3, m=True, p_t=0.5, seed=0),
+            dict(n=10, n0=3, m=2, p_t=True, seed=0),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -207,6 +209,11 @@ class TestDeriveConfig:
     def test_tiny_network_padded_to_seed(self):
         assert derive_growth_config(2, 1).n == 3
 
+    @pytest.mark.parametrize("edges", [float("nan"), float("inf"), -5, 2.5])
+    def test_invalid_edge_count_rejected(self, edges):
+        with pytest.raises(ConfigError, match="edges"):
+            derive_growth_config(10, edges)
+
 
 class TestCalibrate:
     def test_target_at_lower_endpoint_returns_zero(self):
@@ -293,8 +300,8 @@ class TestCalibrate:
     @pytest.mark.parametrize(
         "target, tolerance, pilots, name",
         [(0.2, 0.0, 5, "tolerance"), (0.2, float("nan"), 5, "tolerance"), (0.2, float("inf"), 5, "tolerance"),
-         (float("nan"), 0.02, 5, "target_cc"), (0.2, 0.02, 1.5, "pilots")],
-        ids=["zero", "nan", "inf", "nan-target", "fractional-pilots"],
+         (0.2, True, 5, "tolerance"), (float("nan"), 0.02, 5, "target_cc"), (0.2, 0.02, 1.5, "pilots")],
+        ids=["zero", "nan", "inf", "bool", "nan-target", "fractional-pilots"],
     )
     def test_invalid_tolerance(self, monkeypatch, target, tolerance, pilots, name):
         monkeypatch.setattr(growth, "_pilot_mean_cc", None)  # a pilot would raise TypeError

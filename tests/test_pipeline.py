@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,9 +187,11 @@ class TestFailureHandling:
         "setting",
         [{"workers": 0}, {"seed": -1}, {"calibration_tolerance": 0.0}, {"calibration_tolerance": float("nan")},
          {"calibration_pilots": 0}, {"reference_rule": "median"}, {"replicas": 2.5}, {"seed": 1.5},
-         {"workers": 1.5}, {"calibration_pilots": 1.5}],
+         {"workers": 1.5}, {"calibration_pilots": 1.5}, {"replicas": True}, {"seed": True},
+         {"calibration_tolerance": True}, {"datasets": "net.txt"}, {"datasets": Path("net.txt")}, {"datasets": []}],
         ids=["workers", "seed", "tolerance", "nan-tolerance", "pilots", "reference_rule", "fractional-replicas",
-             "fractional-seed", "fractional-workers", "fractional-pilots"],
+             "fractional-seed", "fractional-workers", "fractional-pilots", "bool-replicas", "bool-seed",
+             "bool-tolerance", "one-path-string", "one-path", "no-datasets"],
     )
     def test_invalid_setting_rejected_before_any_work(self, synthetic_input, tmp_path, setting):
         out_dir = tmp_path / "out"
