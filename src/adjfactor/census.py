@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -107,15 +107,21 @@ def to_distribution(c: AdjacencyCensus) -> DistributionSeries:
     return DistributionSeries(support=support, counts=counts, freq=freq)
 
 
-def write_distribution_csv(series: DistributionSeries, target: str | Path | IO[str]) -> None:
+def _write_csv(target: str | Path | IO[str], header: list[str], rows: Iterable[Sequence]) -> None:
+    """Write header and rows in csv's default dialect, whose rows end in CR LF,
+    to a path (opened as UTF-8) or to an open text handle."""
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8", newline="") as handle:
-            write_distribution_csv(series, handle)
+            _write_csv(handle, header, rows)
         return
     writer = csv.writer(target)
-    writer.writerow(["factor", "count", "freq"])
-    for x, count, f in zip(series.support, series.counts, series.freq):
-        writer.writerow([int(x), int(count), repr(float(f))])
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def write_distribution_csv(series: DistributionSeries, target: str | Path | IO[str]) -> None:
+    rows = ([int(x), int(count), repr(float(f))] for x, count, f in zip(series.support, series.counts, series.freq))
+    _write_csv(target, ["factor", "count", "freq"], rows)
 
 
 def read_distribution_csv(source: str | Path | IO[str]) -> DistributionSeries:
@@ -157,11 +163,6 @@ def read_distribution_csv(source: str | Path | IO[str]) -> DistributionSeries:
 
 def write_census_csv(c: AdjacencyCensus, target: str | Path | IO[str]) -> None:
     """Per-unit dump: "u,v,factor" rows for kind "s", "a,b,c,factor" for kind "t"."""
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="") as handle:
-            write_census_csv(c, handle)
-        return
-    writer = csv.writer(target)
-    writer.writerow(["u", "v", "factor"] if c.kind == "s" else ["a", "b", "c", "factor"])
-    for unit, factor in zip(c.units.tolist(), c.factors.tolist()):
-        writer.writerow([*unit, factor])
+    header = ["u", "v", "factor"] if c.kind == "s" else ["a", "b", "c", "factor"]
+    rows = ([*unit, factor] for unit, factor in zip(c.units.tolist(), c.factors.tolist()))
+    _write_csv(target, header, rows)

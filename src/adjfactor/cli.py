@@ -39,14 +39,6 @@ def _given(args: argparse.Namespace, target) -> dict:
     return given
 
 
-def _write_output(payload: dict, out: str | None) -> None:
-    """Write payload as JSON to the file out, or the same text to stdout."""
-    if out:
-        _write_json(Path(out), payload)
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-
-
 def cmd_summarize(args: argparse.Namespace) -> int:
     summary = _summary(load_edge_list(args.path)[0])
     if args.format == "csv":
@@ -80,14 +72,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    _write_output(asdict(calibrate_pt(**_given(args, calibrate_pt))), args.out)
+    result = calibrate_pt(**_given(args, calibrate_pt))
+    _write_json(Path(args.out) if args.out else sys.stdout, asdict(result))
     return 0
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     args.model = _MODEL_ALIASES[args.model]
     args.series = read_distribution_csv(args.series)
-    _write_output(asdict(fit(**_given(args, fit))), args.out)
+    result = fit(**_given(args, fit))
+    _write_json(Path(args.out) if args.out else sys.stdout, asdict(result))
     return 0
 
 

@@ -21,17 +21,17 @@ failures (exit 2), unfittable series and unreachable targets numeric ones
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import IO
 
 import numpy as np
 
-from .census import census, to_distribution, write_distribution_csv
+from .census import _write_csv, census, to_distribution, write_distribution_csv
 from .graph import DataError, Graph, load_edge_list, average_clustering_coefficient, write_edge_list
 from .growth import (
     CalibrationError,
@@ -77,6 +77,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if isinstance(self.datasets, (str, bytes, os.PathLike)) or not self.datasets:
             raise ConfigError(f"datasets must be a non-empty list of paths, got {self.datasets!r}")
+        for dataset in self.datasets:
+            if not isinstance(dataset, (str, os.PathLike)):
+                raise ConfigError(f"datasets must hold str or os.PathLike paths, got {dataset!r}")
+        if not isinstance(self.out_dir, (str, os.PathLike)):
+            raise ConfigError(f"out_dir must be a str or os.PathLike path, got {self.out_dir!r}")
         _check_count("replicas", self.replicas, 1)
         _check_count("seed", self.seed, 0)
         _check_count("workers", self.workers, 1)
@@ -119,16 +124,14 @@ def _summary(graph: Graph) -> dict:
     }
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _write_curve_csv(path: Path, x: np.ndarray, values: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["x", "model"])
-        for xi, vi in zip(x, values):
-            writer.writerow([repr(float(xi)), repr(float(vi))])
+def _write_json(target: Path | IO[str], payload: dict) -> None:
+    """Write payload as indented, key-sorted JSON and a final newline to a path
+    (as UTF-8) or to an open text handle."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if isinstance(target, Path):
+        target.write_text(text, encoding="utf-8")
+    else:
+        target.write(text)
 
 
 def _fit_both_kinds(graph: Graph, prefix: str, out_dir: Path, log_base: float) -> dict:
@@ -149,11 +152,9 @@ def _fit_both_kinds(graph: Graph, prefix: str, out_dir: Path, log_base: float) -
         result = asdict(fit(model, series, log_base=log_base))
         _write_json(out_dir / files["fit_json"], result)
         x, _ = series.restrict(result["support_min"])
-        _write_curve_csv(
-            out_dir / f"{prefix}_{kind}_model_curve.csv",
-            x,
-            model_function(model, result["params"], log_base=log_base)(x),
-        )
+        curve = model_function(model, result["params"], log_base=log_base)(x)
+        rows = ([repr(float(xi)), repr(float(vi))] for xi, vi in zip(x, curve))
+        _write_csv(out_dir / f"{prefix}_{kind}_model_curve.csv", ["x", "model"], rows)
         fitted[kind] = series, {"fit": result, **files}
     return fitted
 
@@ -279,38 +280,35 @@ def _slash(*values: float) -> str:
 
 
 def _write_tables(report: dict, out_dir: Path) -> None:
-    with open(out_dir / "table1.csv", "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["network", "nodes", "edges", "avg_cc"])
-        for entry in report["networks"]:
-            if "summary" not in entry:
-                continue
+    table1 = []
+    for entry in report["networks"]:
+        if "summary" in entry:
             s = entry["summary"]
-            writer.writerow([entry["name"], s["nodes"], s["edges"], f"{s['avg_cc']:.4f}"])
+            table1.append([entry["name"], s["nodes"], s["edges"], f"{s['avg_cc']:.4f}"])
+    _write_csv(out_dir / "table1.csv", ["network", "nodes", "edges", "avg_cc"], table1)
 
     header = ["network"]
     for model, names in PARAM_NAMES.items():
         header += [f"{model}_{n} (real / grown)" for n in names]
         header += [f"{model}_mnd (real / grown / ref)"]
-    with open(out_dir / "table2.csv", "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for entry in report["networks"]:
-            if entry["status"] != "ok":
-                continue
-            row = [entry["name"]]
-            for model, names in PARAM_NAMES.items():
-                section = entry["models"][model]
-                for n in names:
-                    row.append(_slash(section["real"]["params"][n], section["grown_mean_params"][n]))
-                row.append(
-                    _slash(
-                        section["real"]["mnd"],
-                        section["grown_mean_mnd"],
-                        section["reference"]["mnd"],
-                    )
+    table2 = []
+    for entry in report["networks"]:
+        if entry["status"] != "ok":
+            continue
+        row = [entry["name"]]
+        for model, names in PARAM_NAMES.items():
+            section = entry["models"][model]
+            for n in names:
+                row.append(_slash(section["real"]["params"][n], section["grown_mean_params"][n]))
+            row.append(
+                _slash(
+                    section["real"]["mnd"],
+                    section["grown_mean_mnd"],
+                    section["reference"]["mnd"],
                 )
-            writer.writerow(row)
+            )
+        table2.append(row)
+    _write_csv(out_dir / "table2.csv", header, table2)
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:

@@ -108,16 +108,13 @@ class TestCensus:
         assert len(c) == 4
         assert (c.factors == 0).all()
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            census(complete_graph(4), "S")
+    @pytest.mark.parametrize("kind", ["S", "x"])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(ValueError, match="kind"):
+            census(complete_graph(4), kind)
 
     def test_triangle_free_graph_yields_empty_t_census(self):
         assert len(census(cycle_graph(5), "t")) == 0
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            census(complete_graph(3), "x")
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_edge_factors_match_oracle(self, seed):
@@ -386,12 +383,18 @@ class TestDistribution:
         assert list(back.counts) == list(series.counts)
         assert back.freq == pytest.approx(series.freq, abs=0)
 
-    def test_per_unit_dump_headers(self):
+    # the writers use csv's default dialect, so every row ends in "\r\n", to a path or to a handle alike
+    def test_distribution_csv_bytes(self, tmp_path):
+        series = to_distribution(census(complete_graph(4), "s"))
+        buffer = io.StringIO()
+        write_distribution_csv(series, buffer)
+        assert buffer.getvalue() == "factor,count,freq\r\n2,6,1.0\r\n"
+        write_distribution_csv(series, tmp_path / "k4.csv")
+        assert (tmp_path / "k4.csv").read_bytes() == b"factor,count,freq\r\n2,6,1.0\r\n"
+
+    def test_per_unit_dump_headers(self, tmp_path):
         buffer = io.StringIO()
         write_census_csv(census(complete_graph(4), "s"), buffer)
-        assert buffer.getvalue().splitlines()[0] == "u,v,factor"
-        buffer = io.StringIO()
-        write_census_csv(census(complete_graph(4), "t"), buffer)
-        lines = buffer.getvalue().splitlines()
-        assert lines[0] == "a,b,c,factor"
-        assert lines[1] == "0,1,2,0"
+        assert buffer.getvalue() == "u,v,factor\r\n0,1,2\r\n0,2,2\r\n0,3,2\r\n1,2,2\r\n1,3,2\r\n2,3,2\r\n"
+        write_census_csv(census(complete_graph(4), "t"), tmp_path / "k4.csv")
+        assert (tmp_path / "k4.csv").read_bytes() == b"a,b,c,factor\r\n0,1,2,0\r\n0,1,3,0\r\n0,2,3,0\r\n1,2,3,0\r\n"

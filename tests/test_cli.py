@@ -268,6 +268,20 @@ def test_out_file_holds_the_printed_json(command, tmp_path, capsys):
     assert out.read_bytes() == printed.encode("utf-8")
 
 
+@pytest.mark.parametrize("kind, unit_header", [("s", b"u,v,factor\r\n"), ("t", b"a,b,c,factor\r\n")])
+def test_census_out_file_holds_the_printed_csv(synthetic_input, tmp_path, capsys, kind, unit_header):
+    # stdout and --out are two targets of one CSV writer: same bytes, "\r\n" row ends
+    argv = ["census", str(synthetic_input), "--kind", kind]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out, per_unit = tmp_path / "out.csv", tmp_path / "units.csv"
+    assert main([*argv, "--out", str(out), "--per-unit", str(per_unit)]) == 0
+    assert capsys.readouterr().out == ""
+    assert printed.startswith("factor,count,freq\r\n") and printed.endswith("\r\n")
+    assert out.read_bytes() == printed.encode("utf-8")
+    assert per_unit.read_bytes().startswith(unit_header)
+
+
 class TestUsage:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1

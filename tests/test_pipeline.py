@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from pathlib import Path
@@ -17,6 +18,8 @@ from adjfactor import (
     run_experiment,
     write_edge_list,
 )
+from adjfactor.census import read_distribution_csv
+from adjfactor.models import model_function
 from conftest import small_experiment_config
 from helpers import BAD_LOG_BASES, path_graph
 
@@ -188,16 +191,18 @@ class TestFailureHandling:
         [{"workers": 0}, {"seed": -1}, {"calibration_tolerance": 0.0}, {"calibration_tolerance": float("nan")},
          {"calibration_pilots": 0}, {"reference_rule": "median"}, {"replicas": 2.5}, {"seed": 1.5},
          {"workers": 1.5}, {"calibration_pilots": 1.5}, {"replicas": True}, {"seed": True},
-         {"calibration_tolerance": True}, {"datasets": "net.txt"}, {"datasets": Path("net.txt")}, {"datasets": []}],
+         {"calibration_tolerance": True}, {"datasets": "net.txt"}, {"datasets": Path("net.txt")}, {"datasets": []},
+         {"datasets": [1]}, {"datasets": [None]}, {"datasets": [b"net.txt"]}, {"out_dir": 1}, {"out_dir": None}],
         ids=["workers", "seed", "tolerance", "nan-tolerance", "pilots", "reference_rule", "fractional-replicas",
              "fractional-seed", "fractional-workers", "fractional-pilots", "bool-replicas", "bool-seed",
-             "bool-tolerance", "one-path-string", "one-path", "no-datasets"],
+             "bool-tolerance", "one-path-string", "one-path", "no-datasets", "int-dataset", "none-dataset",
+             "bytes-dataset", "int-out_dir", "none-out_dir"],
     )
-    def test_invalid_setting_rejected_before_any_work(self, synthetic_input, tmp_path, setting):
-        out_dir = tmp_path / "out"
+    def test_invalid_setting_rejected_before_any_work(self, synthetic_input, tmp_path, monkeypatch, setting):
+        monkeypatch.chdir(tmp_path)  # so a directory made from a bad relative out_dir would show below
         with pytest.raises(ConfigError, match=next(iter(setting))):
-            run_experiment(small_experiment_config(synthetic_input, out_dir, **setting))
-        assert not out_dir.exists()
+            run_experiment(small_experiment_config(synthetic_input, **{"out_dir": tmp_path / "out", **setting}))
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("log_base", BAD_LOG_BASES)
     def test_bad_log_base_rejected_before_any_output(self, synthetic_input, tmp_path, log_base):
@@ -422,3 +427,62 @@ class TestTableExports:
         )
         assert cells[1] == expected_a
         assert cells[4].count("/") == 2
+
+
+class TestOutputBytes:
+    """Every CSV ends its rows in CR LF (csv's default dialect); every JSON document is indented, key-sorted
+    and ends in a newline, whether it goes to a file or to an open handle."""
+
+    def test_model_curve_csv(self, experiment_run):
+        report, out_dir, _ = experiment_run
+        entry = report["networks"][0]
+        for kind, model in (("s", "s_complex"), ("t", "emg")):
+            real = entry["models"][model]["real"]
+            series = read_distribution_csv(out_dir / entry["name"] / f"real_{kind}_distribution.csv")
+            x, _ = series.restrict(real["support_min"])
+            curve = model_function(model, real["params"], log_base=report["config"]["log_base"])(x)
+            rows = "".join(f"{xi!r},{vi!r}\r\n" for xi, vi in zip(x.tolist(), curve.tolist()))
+            written = (out_dir / entry["name"] / f"real_{kind}_model_curve.csv").read_bytes()
+            assert written == f"x,model\r\n{rows}".encode("utf-8")
+
+    def test_tables_of_a_hand_built_report(self, tmp_path):
+        models = {
+            "s_complex": {
+                "real": {"params": {"a": 1.0, "b": 0.5, "c": 0.25}, "mnd": 0.375},
+                "grown_mean_params": {"a": 1.004, "b": 0.496, "c": 0.3},
+                "grown_mean_mnd": 0.2,
+                "reference": {"mnd": 0.5},
+            },
+            "emg": {
+                "real": {"params": {"lam": 2.0, "mu": 3.0, "sigma": 0.0}, "mnd": 0.0675},
+                "grown_mean_params": {"lam": 1.5, "mu": 3.25, "sigma": 0.126},
+                "grown_mean_mnd": 0.1,
+                "reference": {"mnd": 0.75},
+            },
+        }
+        report = {"networks": [
+            {"name": "net,1", "status": "ok", "summary": {"nodes": 5, "edges": 7, "avg_cc": 0.123456},
+             "models": models},
+            {"name": "uncalibrated", "status": "failed", "summary": {"nodes": 3, "edges": 3, "avg_cc": 1.0}},
+            {"name": "unreadable", "status": "failed"},
+        ]}
+        pipeline._write_tables(report, tmp_path)
+        assert (tmp_path / "table1.csv").read_bytes() == (
+            b'network,nodes,edges,avg_cc\r\n"net,1",5,7,0.1235\r\nuncalibrated,3,3,1.0000\r\n'
+        )
+        assert (tmp_path / "table2.csv").read_bytes() == (
+            b"network,s_complex_a (real / grown),s_complex_b (real / grown),s_complex_c (real / grown),"
+            b"s_complex_mnd (real / grown / ref),emg_lam (real / grown),emg_mu (real / grown),"
+            b"emg_sigma (real / grown),emg_mnd (real / grown / ref)\r\n"
+            b'"net,1",1.00 / 1.00,0.50 / 0.50,0.25 / 0.30,0.38 / 0.20 / 0.50,'
+            b"2.00 / 1.50,3.00 / 3.25,0.00 / 0.13,0.07 / 0.10 / 0.75\r\n"
+        )
+
+    def test_json_to_a_handle_matches_the_file(self, tmp_path):
+        payload = {"b": [1, 0.1], "a": {"é": None}}
+        expected = '{\n  "a": {\n    "\\u00e9": null\n  },\n  "b": [\n    1,\n    0.1\n  ]\n}\n'
+        handle = io.StringIO()
+        pipeline._write_json(handle, payload)
+        assert handle.getvalue() == expected
+        pipeline._write_json(tmp_path / "payload.json", payload)
+        assert (tmp_path / "payload.json").read_bytes() == expected.encode("utf-8")
