@@ -10,8 +10,8 @@ three vertices are excluded.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -107,10 +107,10 @@ def to_distribution(c: AdjacencyCensus) -> DistributionSeries:
     return DistributionSeries(support=support, counts=counts, freq=freq)
 
 
-def _write_csv(target: str | Path | IO[str], header: list[str], rows: Iterable[Sequence]) -> None:
+def _write_csv(target: str | os.PathLike | IO[str], header: list[str], rows: Iterable[Sequence]) -> None:
     """Write header and rows in csv's default dialect, whose rows end in CR LF,
-    to a path (opened as UTF-8) or to an open text handle."""
-    if isinstance(target, (str, Path)):
+    to a path (a str or os.PathLike, opened as UTF-8) or to an open text handle."""
+    if isinstance(target, (str, os.PathLike)):
         with open(target, "w", encoding="utf-8", newline="") as handle:
             _write_csv(handle, header, rows)
         return
@@ -119,15 +119,15 @@ def _write_csv(target: str | Path | IO[str], header: list[str], rows: Iterable[S
     writer.writerows(rows)
 
 
-def write_distribution_csv(series: DistributionSeries, target: str | Path | IO[str]) -> None:
+def write_distribution_csv(series: DistributionSeries, target: str | os.PathLike | IO[str]) -> None:
     rows = ([int(x), int(count), repr(float(f))] for x, count, f in zip(series.support, series.counts, series.freq))
     _write_csv(target, ["factor", "count", "freq"], rows)
 
 
-def read_distribution_csv(source: str | Path | IO[str]) -> DistributionSeries:
+def read_distribution_csv(source: str | os.PathLike | IO[str]) -> DistributionSeries:
     """Read a "factor,count,freq" CSV. A file that cannot be opened or read, or
     is not UTF-8 text, raises `DataError`, as malformed content does."""
-    if isinstance(source, (str, Path)):
+    if isinstance(source, (str, os.PathLike)):
         try:
             with open(source, "r", encoding="utf-8", newline="") as handle:
                 return read_distribution_csv(handle)
@@ -161,7 +161,7 @@ def read_distribution_csv(source: str | Path | IO[str]) -> DistributionSeries:
     )
 
 
-def write_census_csv(c: AdjacencyCensus, target: str | Path | IO[str]) -> None:
+def write_census_csv(c: AdjacencyCensus, target: str | os.PathLike | IO[str]) -> None:
     """Per-unit dump: "u,v,factor" rows for kind "s", "a,b,c,factor" for kind "t"."""
     header = ["u", "v", "factor"] if c.kind == "s" else ["a", "b", "c", "factor"]
     rows = ([*unit, factor] for unit, factor in zip(c.units.tolist(), c.factors.tolist()))

@@ -1,11 +1,12 @@
 """Command-line interface: a thin shell over the library.
 
-The options of `experiment`, `calibrate` and `fit` are named after the
-library's parameters, and only those given are passed on, so the defaults and
-the checks are those of `ExperimentConfig`, `calibrate_pt` and `fit`. Exit
-codes: 0 success, 1 usage error, 2 data error (unreadable or malformed input,
-an invalid parameter value, an unwritable output), 3 numeric failure; each
-failure is reported on stderr. Any other exception is a bug and propagates.
+The options of `experiment`, `generate`, `calibrate` and `fit` are named
+after the library's parameters, and only those given are passed on, so the
+defaults and the checks are those of `ExperimentConfig`, `GrowthConfig`,
+`calibrate_pt` and `fit`. Exit codes: 0 success, 1 usage error, 2 data error
+(unreadable or malformed input, an invalid parameter value, an unwritable
+output), 3 numeric failure; each failure is reported on stderr. Any other
+exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from pathlib import Path
 
 from .census import census, read_distribution_csv, to_distribution, write_census_csv, write_distribution_csv
 from .graph import DataError, load_edge_list, write_edge_list
-from .growth import CalibrationError, ConfigError, GrowthConfig, calibrate_pt, generate_pa_tf, seed_ring_size
+from .growth import CalibrationError, ConfigError, GrowthConfig, calibrate_pt, generate_pa_tf
 from .models import REFERENCE_RULES, FitError, fit
 from .pipeline import DATA_ERROR, MODEL_BY_KIND, NUMERIC_ERROR, ExperimentConfig, _summary, _write_json, run_experiment
 
@@ -60,20 +60,19 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    n0 = args.n0 if args.n0 is not None else seed_ring_size(args.edges_per_node)
-    config = GrowthConfig(n=args.nodes, n0=n0, m=args.edges_per_node, p_t=args.pt, seed=args.seed)
+    config = GrowthConfig(**_given(args, GrowthConfig))
     graph = generate_pa_tf(config)
     write_edge_list(graph, args.out)
     meta = config.metadata()
     meta["generated_edges"] = graph.edge_count
-    _write_json(Path(str(args.out) + ".meta.json"), meta)
+    _write_json(f"{args.out}.meta.json", meta)
     print(json.dumps(_summary(graph), sort_keys=True))
     return 0
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     result = calibrate_pt(**_given(args, calibrate_pt))
-    _write_json(Path(args.out) if args.out else sys.stdout, asdict(result))
+    _write_json(args.out or sys.stdout, asdict(result))
     return 0
 
 
@@ -81,7 +80,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     args.model = _MODEL_ALIASES[args.model]
     args.series = read_distribution_csv(args.series)
     result = fit(**_given(args, fit))
-    _write_json(Path(args.out) if args.out else sys.stdout, asdict(result))
+    _write_json(args.out or sys.stdout, asdict(result))
     return 0
 
 
@@ -116,10 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("generate", help="grow a PA-TF network and write its edge list")
-    p.add_argument("--nodes", type=int, required=True)
-    p.add_argument("-m", "--edges-per-node", type=int, required=True)
-    p.add_argument("--pt", type=float, required=True, help="triad-formation probability")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--nodes", dest="n", type=int, required=True)
+    p.add_argument("-m", "--edges-per-node", dest="m", type=int, required=True)
+    p.add_argument("--pt", dest="p_t", type=float, required=True, help="triad-formation probability")
+    p.add_argument("--seed", type=int)
     p.add_argument("--n0", type=int, help="seed-ring size (default max(m, 3))")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)

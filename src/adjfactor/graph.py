@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import operator
+import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
@@ -491,9 +492,9 @@ def _plain_labels(data: bytes) -> tuple[np.ndarray, int] | None:
     return labels, line_count
 
 
-def write_edge_list(graph: Graph, target: str | Path | IO[str]) -> None:
+def write_edge_list(graph: Graph, target: str | os.PathLike | IO[str]) -> None:
     """Write the canonical edge list: one "u v" line per edge, u < v, sorted."""
-    if isinstance(target, (str, Path)):
+    if isinstance(target, (str, os.PathLike)):
         with open(target, "w", encoding="utf-8") as handle:
             write_edge_list(graph, handle)
         return

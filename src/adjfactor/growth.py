@@ -38,22 +38,29 @@ class CalibrationError(RuntimeError):
         self.achievable_cc = achievable_cc
 
 
-@dataclass(frozen=True)
-class GrowthConfig:
-    """Parameters of one generation run.
+def seed_ring_size(m: int) -> int:
+    """Seed-ring size for m edges per node: m, and at least the 3 nodes growth needs."""
+    return max(m, 3)
 
-    n: final node count; n0: seed-ring size; m: edges per incoming node;
-    p_t: triad-formation probability; seed: RNG seed.
+
+@dataclass(frozen=True, kw_only=True)
+class GrowthConfig:
+    """Parameters of one generation run, passed by keyword.
+
+    n: final node count; n0: seed-ring size (default `seed_ring_size(m)`); m: edges
+    per incoming node; p_t: triad-formation probability; seed: RNG seed (default 0).
     """
 
     n: int
-    n0: int
+    n0: int | None = None
     m: int
     p_t: float
-    seed: int
+    seed: int = 0
 
     def __post_init__(self):
         _check_count("m", self.m, 1)
+        if self.n0 is None:
+            object.__setattr__(self, "n0", seed_ring_size(self.m))
         _check_count("n0", self.n0, self.m)
         _check_count("n", self.n, self.n0)
         if isinstance(self.p_t, bool) or not 0.0 <= self.p_t <= 1.0:
@@ -142,11 +149,6 @@ def generate_pa_tf(config: GrowthConfig) -> Graph:
     return Graph._from_pairs(ends[0::2], ends[1::2], config.n)
 
 
-def seed_ring_size(m: int) -> int:
-    """Seed-ring size for m edges per node: m, and at least the 3 nodes growth needs."""
-    return max(m, 3)
-
-
 def derive_growth_config(nodes: int, edges: int) -> GrowthConfig:
     """Match a real network's size: m from the edge/node ratio, ring seed.
 
@@ -156,8 +158,7 @@ def derive_growth_config(nodes: int, edges: int) -> GrowthConfig:
     _check_count("nodes", nodes, 1)
     _check_count("edges", edges, 0)
     m = max(1, round(edges / nodes))
-    n0 = seed_ring_size(m)
-    return GrowthConfig(n=max(nodes, n0), n0=n0, m=m, p_t=0.0, seed=0)
+    return GrowthConfig(n=max(nodes, seed_ring_size(m)), m=m, p_t=0.0)
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
@@ -167,9 +168,9 @@ def derive_seed(master_seed: int, *key: int) -> int:
     return int(sequence.generate_state(1, np.uint64)[0])
 
 
-def _pilot_mean_cc(n: int, n0: int, m: int, p_t: float, pilot_seeds: Sequence[int]) -> float:
+def _pilot_mean_cc(n: int, m: int, p_t: float, pilot_seeds: Sequence[int]) -> float:
     """Mean over the pilot seeds of the grown networks' average CC."""
-    configs = (GrowthConfig(n=n, n0=n0, m=m, p_t=p_t, seed=s) for s in pilot_seeds)
+    configs = (GrowthConfig(n=n, m=m, p_t=p_t, seed=s) for s in pilot_seeds)
     return float(np.mean([average_clustering_coefficient(generate_pa_tf(config)) for config in configs]))
 
 
@@ -193,36 +194,25 @@ def calibrate_pt(
     if not math.isfinite(target_cc):
         raise ConfigError(f"target_cc must be finite, got {target_cc!r}")
     _check_count("pilots", pilots, 1)
-    n0 = seed_ring_size(m)
     pilot_seeds = [derive_seed(seed, i) for i in range(pilots)]
     probes: list[list[float]] = []
 
     def probe(p_t: float) -> float:
-        probes.append([p_t, _pilot_mean_cc(n, n0, m, p_t, pilot_seeds)])
+        probes.append([p_t, _pilot_mean_cc(n, m, p_t, pilot_seeds)])
         return probes[-1][1]
 
     def found(iterations: int) -> CalibrationResult:  # the last probe hit the target
         return CalibrationResult(*probes[-1], iterations, pilots * len(probes), probes)
 
-    cc_low = probe(0.0)
-    if abs(cc_low - target_cc) <= tolerance:
-        return found(0)
-    if target_cc < cc_low:
-        raise CalibrationError(
-            f"target CC {target_cc} below minimum achievable {cc_low:.4f} at p_t=0",
-            achievable_cc=cc_low,
-        )
-    cc_high = probe(1.0)
-    if abs(cc_high - target_cc) <= tolerance:
-        return found(0)
-    if target_cc > cc_high:
-        raise CalibrationError(
-            f"target CC {target_cc} above maximum achievable {cc_high:.4f} at p_t=1",
-            achievable_cc=cc_high,
-        )
-
-    # bracket[0] holds [p_t, CC - target] below the target, bracket[1] above it
-    bracket = [[0.0, cc_low - target_cc], [1.0, cc_high - target_cc]]
+    # bracket[side] holds [p_t, CC - target]: side 0 below the target, side 1 above it
+    for p_t, side, wording in ((0.0, 0, "below minimum"), (1.0, 1, "above maximum")):
+        cc = probe(p_t)
+        if abs(cc - target_cc) <= tolerance:
+            return found(0)
+        if int(cc > target_cc) != side:
+            message = f"target CC {target_cc} {wording} achievable {cc:.4f} at p_t={p_t:.0f}"
+            raise CalibrationError(message, achievable_cc=cc)
+    bracket = [[p_t, cc - target_cc] for p_t, cc in probes]
     last_side = -1
     for iteration in range(1, _MAX_ITERATIONS + 1):
         (low, f_low), (high, f_high) = bracket

@@ -124,12 +124,12 @@ def _summary(graph: Graph) -> dict:
     }
 
 
-def _write_json(target: Path | IO[str], payload: dict) -> None:
+def _write_json(target: str | os.PathLike | IO[str], payload: dict) -> None:
     """Write payload as indented, key-sorted JSON and a final newline to a path
-    (as UTF-8) or to an open text handle."""
+    (a str or os.PathLike, as UTF-8) or to an open text handle."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if isinstance(target, Path):
-        target.write_text(text, encoding="utf-8")
+    if isinstance(target, (str, os.PathLike)):
+        Path(target).write_text(text, encoding="utf-8")
     else:
         target.write(text)
 
@@ -321,7 +321,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
 
     names: list[str] = []
     for index, dataset in enumerate(config.datasets):
-        name = Path(dataset).stem or f"network_{index}"
+        name = Path(dataset).stem
+        if name in ("", ".", "..", "report.json", "table1.csv", "table2.csv"):  # outside out_dir or over its files
+            name = f"network_{index}"
         while name in names:
             name = f"{name}_{index}"
         names.append(name)

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import math
 import os
@@ -110,6 +112,16 @@ class TestGenerate:
         assert main(argv + [str(a)]) == 0
         assert main(argv + [str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_omitted_seed_and_n0_are_the_library_defaults(self, tmp_path, capsys, m):
+        argv = ["generate", "--nodes", "120", "-m", str(m), "--pt", "0.5", "--out"]
+        outputs = []
+        for extra, name in (([], "default.txt"), (["--seed", "0", "--n0", str(max(m, 3))], "explicit.txt")):
+            assert main(argv + [str(tmp_path / name), *extra]) == 0
+            meta = tmp_path / f"{name}.meta.json"
+            outputs.append(((tmp_path / name).read_bytes(), meta.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
 
     def test_infeasible_config(self, tmp_path, capsys):
         code = main(
@@ -291,6 +303,17 @@ class TestUsage:
 
     def test_help_is_success(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize(
+        "command,target",
+        [("generate", adjfactor.GrowthConfig), ("calibrate", adjfactor.calibrate_pt), ("fit", adjfactor.fit),
+         ("experiment", ExperimentConfig)],
+    )
+    def test_every_option_names_a_parameter_of_its_target(self, command, target):
+        # `_given` drops any option that names no parameter, so a misnamed dest would be ignored silently
+        commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in commands.choices[command]._actions if not isinstance(a, argparse._HelpAction)}
+        assert dests - {"out"} <= set(inspect.signature(target).parameters)
 
 
 def test_experiment_cli_smoke(synthetic_input, tmp_path, capsys):

@@ -236,6 +236,17 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph.from_edges([(0, 1), (1, 0)])
 
+    @pytest.mark.parametrize("edges", [[(-1, 2)], [(0, 1), (2, -3)]])
+    def test_from_edges_rejects_negative_id(self, edges):
+        with pytest.raises(ValueError, match="negative node id"):
+            Graph.from_edges(edges)
+
+    @pytest.mark.parametrize("node_count", [0, 2])
+    def test_from_edges_rejects_node_count_below_the_ids(self, node_count):
+        with pytest.raises(ValueError, match="too small for edge endpoint 2"):
+            Graph.from_edges([(0, 1), (1, 2)], node_count=node_count)
+        assert Graph.from_edges([(0, 1), (1, 2)], node_count=4).node_count == 4
+
     @pytest.mark.parametrize("v", [-1, 3])
     def test_node_out_of_range_has_no_row(self, v):
         g = path_graph(3)

@@ -62,6 +62,18 @@ class TestConfig:
         assert meta["p_t"] == 0.5
         assert "tf_rule" in meta and "pa_rule" in meta
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_omitted_n0_and_seed_take_the_defaults(self, m):
+        ring = growth.seed_ring_size(m)
+        assert ring == max(m, 3)
+        default = GrowthConfig(n=50, m=m, p_t=0.5)
+        assert default == GrowthConfig(n=50, n0=None, m=m, p_t=0.5) == GrowthConfig(n=50, n0=ring, m=m, p_t=0.5, seed=0)
+        assert default.metadata()["n0"] == ring
+
+    def test_fields_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            GrowthConfig(10, 3, 2, 0.5, 0)
+
 
 class TestGenerate:
     def test_no_incoming_nodes_returns_seed_ring(self):
@@ -120,7 +132,7 @@ class TestGrowthInternals:
     @pytest.mark.parametrize("p_t", [0.0, 0.5, 1.0])
     def test_pilot_cc_equals_graph_cc(self, m, p_t):
         config = GrowthConfig(n=600, n0=max(m, 3), m=m, p_t=p_t, seed=17)
-        pilot = growth._pilot_mean_cc(config.n, config.n0, config.m, config.p_t, [config.seed])
+        pilot = growth._pilot_mean_cc(config.n, config.m, config.p_t, [config.seed])
         assert pilot == average_clustering_coefficient(generate_pa_tf(config))
 
     @pytest.mark.parametrize(
@@ -244,16 +256,16 @@ class TestCalibrate:
         assert 0.0 < result.p_t < 1.0
 
     @staticmethod
-    def known_curve(n, n0, m, p_t, pilot_seeds):
+    def known_curve(n, m, p_t, pilot_seeds):
         return 0.05 + 0.4 * p_t**2
 
     def test_regula_falsi_needs_fewer_probes_than_bisection(self, monkeypatch):
         def curve(p_t):
-            return self.known_curve(0, 0, 0, p_t, [])
+            return self.known_curve(0, 0, p_t, [])
 
         calls = []
 
-        def pilot_mean_cc(n, n0, m, p_t, pilot_seeds):
+        def pilot_mean_cc(n, m, p_t, pilot_seeds):
             calls.append(p_t)
             return curve(p_t)
 
@@ -287,9 +299,9 @@ class TestCalibrate:
         # a curve that steps over the target: no p_t comes within tolerance
         calls = []
 
-        def step_curve(n, n0, m, p_t, pilot_seeds):
+        def step_curve(n, m, p_t, pilot_seeds):
             calls.append(p_t)
-            return self.known_curve(n, n0, m, float(p_t >= 0.5), pilot_seeds)
+            return self.known_curve(n, m, float(p_t >= 0.5), pilot_seeds)
 
         monkeypatch.setattr(growth, "_pilot_mean_cc", step_curve)
         with pytest.raises(CalibrationError, match="after 20 iterations") as info:

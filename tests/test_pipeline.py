@@ -18,7 +18,8 @@ from adjfactor import (
     run_experiment,
     write_edge_list,
 )
-from adjfactor.census import read_distribution_csv
+from adjfactor.census import census, read_distribution_csv, to_distribution, write_distribution_csv
+from adjfactor.cli import main
 from adjfactor.models import model_function
 from conftest import small_experiment_config
 from helpers import BAD_LOG_BASES, path_graph
@@ -164,6 +165,27 @@ class TestFailureHandling:
         names = [entry["name"] for entry in report["networks"]]
         assert names == ["a_2", "a", "a_2_2"]
         assert sorted(p.name for p in out_dir.iterdir() if p.is_dir()) == sorted(names)
+
+    def test_names_that_leave_the_out_dir_are_replaced(self, synthetic_input, tmp_path):
+        # stems "..", "." and "report.json" would write outside --out, into it, or over the report
+        inputs = ["...txt", "..txt", "report.json.txt", "net.txt"]
+        (tmp_path / "in").mkdir()
+        for name in inputs:
+            (tmp_path / "in" / name).write_bytes(synthetic_input.read_bytes())
+        argv = ["experiment", *(str(tmp_path / "in" / name) for name in inputs), "--out",
+                str(tmp_path / "out" / "run"), "--replicas", "1", "--pilots", "1"]
+        assert main(argv) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in", "out"]
+        assert sorted(p.name for p in (tmp_path / "in").iterdir()) == sorted(inputs)
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["run"]
+        run = tmp_path / "out" / "run"
+        names = ["network_0", "network_1", "network_2", "net"]
+        assert sorted(p.name for p in run.iterdir()) == sorted(names + ["report.json", "table1.csv", "table2.csv"])
+        assert [n["name"] for n in json.loads((run / "report.json").read_text())["networks"]] == names
+        artifacts = sorted(p.name for p in (run / "net").iterdir())
+        assert len(artifacts) == 15  # 7 of the real network, 8 of the replica
+        for name in names[:3]:
+            assert sorted(p.name for p in (run / name).iterdir()) == artifacts
 
     def test_non_utf8_dataset_marks_ingest_failure_and_continues(self, synthetic_input, tmp_path):
         binary = tmp_path / "binary.txt"
@@ -486,3 +508,28 @@ class TestOutputBytes:
         assert handle.getvalue() == expected
         pipeline._write_json(tmp_path / "payload.json", payload)
         assert (tmp_path / "payload.json").read_bytes() == expected.encode("utf-8")
+
+
+class _PathLike:
+    """An os.PathLike that is not a pathlib.Path."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __fspath__(self):
+        return str(self.path)
+
+
+def test_every_file_target_takes_a_str_or_any_path_like(tmp_path):
+    graph = path_graph(4)
+    series = to_distribution(census(graph, "s"))
+    for make in (str, _PathLike):
+        out = tmp_path / make.__name__
+        out.mkdir()
+        write_edge_list(graph, make(out / "g.txt"))
+        assert (out / "g.txt").read_text() == "0 1\n1 2\n2 3\n"
+        write_distribution_csv(series, make(out / "s.csv"))
+        assert (out / "s.csv").read_bytes() == b"factor,count,freq\r\n0,3,1.0\r\n"
+        assert read_distribution_csv(make(out / "s.csv")).counts.tolist() == [3]
+        pipeline._write_json(make(out / "p.json"), {"a": 1})
+        assert (out / "p.json").read_text() == '{\n  "a": 1\n}\n'
