@@ -16,7 +16,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .graph import DataError, Graph, _closed_wedges
+from .graph import DataError, Graph, _closed_wedges, _open_text
 
 Triangle = tuple[int, int, int]
 
@@ -107,49 +107,45 @@ def to_distribution(c: AdjacencyCensus) -> DistributionSeries:
     return DistributionSeries(support=support, counts=counts, freq=freq)
 
 
-def _write_csv(target: str | os.PathLike | IO[str], header: list[str], rows: Iterable[Sequence]) -> None:
+def _write_csv(target: str | bytes | os.PathLike | IO[str], header: list[str], rows: Iterable[Sequence]) -> None:
     """Write header and rows in csv's default dialect, whose rows end in CR LF,
-    to a path (a str or os.PathLike, opened as UTF-8) or to an open text handle."""
-    if isinstance(target, (str, os.PathLike)):
-        with open(target, "w", encoding="utf-8", newline="") as handle:
-            _write_csv(handle, header, rows)
-        return
-    writer = csv.writer(target)
-    writer.writerow(header)
-    writer.writerows(rows)
+    to a path or an open text handle (see `graph._open_text`)."""
+    with _open_text(target, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def write_distribution_csv(series: DistributionSeries, target: str | os.PathLike | IO[str]) -> None:
+def write_distribution_csv(series: DistributionSeries, target: str | bytes | os.PathLike | IO[str]) -> None:
     rows = ([int(x), int(count), repr(float(f))] for x, count, f in zip(series.support, series.counts, series.freq))
     _write_csv(target, ["factor", "count", "freq"], rows)
 
 
-def read_distribution_csv(source: str | os.PathLike | IO[str]) -> DistributionSeries:
-    """Read a "factor,count,freq" CSV. A file that cannot be opened or read, or
-    is not UTF-8 text, raises `DataError`, as malformed content does."""
-    if isinstance(source, (str, os.PathLike)):
-        try:
-            with open(source, "r", encoding="utf-8", newline="") as handle:
-                return read_distribution_csv(handle)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DataError(str(exc)) from exc
-    reader = csv.reader(source)
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header[:3]] != ["factor", "count", "freq"]:
-        raise DataError('expected header "factor,count,freq"')
+def read_distribution_csv(source: str | bytes | os.PathLike | IO[str]) -> DistributionSeries:
+    """Read a "factor,count,freq" CSV from a path or an open text handle (see
+    `graph._open_text`). A file that cannot be opened or read, or is not UTF-8
+    text, raises `DataError`, as malformed content does."""
     support, counts, freq = [], [], []
-    for row in reader:
-        if not row:
-            continue
-        try:
-            x, count, f = int(row[0]), int(row[1]), float(row[2])
-        except (IndexError, ValueError):
-            raise DataError(f"line {reader.line_num}: expected factor,count,freq, got {row}") from None
-        if not 0.0 <= f < float("inf"):  # also rejects NaN
-            raise DataError(f"line {reader.line_num}: freq must be finite and nonnegative, got {row[2]}")
-        support.append(x)
-        counts.append(count)
-        freq.append(f)
+    try:
+        with _open_text(source, "r", newline="") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header[:3]] != ["factor", "count", "freq"]:
+                raise DataError('expected header "factor,count,freq"')
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    x, count, f = int(row[0]), int(row[1]), float(row[2])
+                except (IndexError, ValueError):
+                    raise DataError(f"line {reader.line_num}: expected factor,count,freq, got {row}") from None
+                if not 0.0 <= f < float("inf"):  # also rejects NaN
+                    raise DataError(f"line {reader.line_num}: freq must be finite and nonnegative, got {row[2]}")
+                support.append(x)
+                counts.append(count)
+                freq.append(f)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(str(exc)) from exc
     if not support:
         raise DataError("empty distribution")
     if any(b <= a for a, b in zip(support, support[1:])):
@@ -161,7 +157,7 @@ def read_distribution_csv(source: str | os.PathLike | IO[str]) -> DistributionSe
     )
 
 
-def write_census_csv(c: AdjacencyCensus, target: str | os.PathLike | IO[str]) -> None:
+def write_census_csv(c: AdjacencyCensus, target: str | bytes | os.PathLike | IO[str]) -> None:
     """Per-unit dump: "u,v,factor" rows for kind "s", "a,b,c,factor" for kind "t"."""
     header = ["u", "v", "factor"] if c.kind == "s" else ["a", "b", "c", "factor"]
     rows = ([*unit, factor] for unit, factor in zip(c.units.tolist(), c.factors.tolist()))

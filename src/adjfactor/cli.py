@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", "--edges-per-node", dest="m", type=int, required=True)
     p.add_argument("--pt", dest="p_t", type=float, required=True, help="triad-formation probability")
     p.add_argument("--seed", type=int)
-    p.add_argument("--n0", type=int, help="seed-ring size (default max(m, 3))")
+    p.add_argument("--n0", type=int, help="seed-ring size (default and minimum max(m, 3))")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 

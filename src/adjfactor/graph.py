@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import operator
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple, NoReturn
+from typing import IO, ContextManager, Iterable, Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -348,14 +348,16 @@ def parse_edge_list(text: str) -> tuple[Graph, IngestReport]:
     return _parse_plain(text.encode("utf-8", "surrogatepass")) or _parse_lines(text)
 
 
-def load_edge_list(path: str | Path) -> tuple[Graph, IngestReport]:
-    """Read an edge-list file and parse its UTF-8 text as `parse_edge_list` does.
+def load_edge_list(path: str | bytes | os.PathLike) -> tuple[Graph, IngestReport]:
+    """Read an edge-list file, given as a str, bytes or os.PathLike path, and
+    parse its UTF-8 text as `parse_edge_list` does.
 
     A file that cannot be opened or read, or is not UTF-8 text, raises
     `DataError`, as a malformed line does.
     """
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as handle:
+            data = handle.read()
         data.decode("utf-8")  # checked here; the text is made again only if the bulk parse declines
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(str(exc)) from exc
@@ -492,14 +494,20 @@ def _plain_labels(data: bytes) -> tuple[np.ndarray, int] | None:
     return labels, line_count
 
 
-def write_edge_list(graph: Graph, target: str | os.PathLike | IO[str]) -> None:
-    """Write the canonical edge list: one "u v" line per edge, u < v, sorted."""
-    if isinstance(target, (str, os.PathLike)):
-        with open(target, "w", encoding="utf-8") as handle:
-            write_edge_list(graph, handle)
-        return
-    for u, v in graph.edges():
-        target.write(f"{u} {v}\n")
+def _open_text(target: str | bytes | os.PathLike | IO[str], mode: str, newline: str | None = None) -> ContextManager:
+    """Open a path (a str, bytes or os.PathLike, what `open` takes) as UTF-8 text.
+    Anything else is an open text handle: it is used as it is and left open."""
+    if isinstance(target, (str, bytes, os.PathLike)):
+        return open(target, mode, encoding="utf-8", newline=newline)
+    return contextlib.nullcontext(target)
+
+
+def write_edge_list(graph: Graph, target: str | bytes | os.PathLike | IO[str]) -> None:
+    """Write the canonical edge list, one "u v" line per edge, u < v, sorted, to
+    a path or an open text handle (see `_open_text`)."""
+    with _open_text(target, "w") as handle:
+        for u, v in graph.edges():
+            handle.write(f"{u} {v}\n")
 
 
 def average_clustering_coefficient(graph: Graph) -> float:

@@ -47,8 +47,9 @@ def seed_ring_size(m: int) -> int:
 class GrowthConfig:
     """Parameters of one generation run, passed by keyword.
 
-    n: final node count; n0: seed-ring size (default `seed_ring_size(m)`); m: edges
-    per incoming node; p_t: triad-formation probability; seed: RNG seed (default 0).
+    n: final node count; n0: seed-ring size (default and minimum `seed_ring_size(m)`,
+    so every seed is a ring of n0 edges); m: edges per incoming node; p_t:
+    triad-formation probability; seed: RNG seed (default 0).
     """
 
     n: int
@@ -61,20 +62,11 @@ class GrowthConfig:
         _check_count("m", self.m, 1)
         if self.n0 is None:
             object.__setattr__(self, "n0", seed_ring_size(self.m))
-        _check_count("n0", self.n0, self.m)
+        _check_count("n0", self.n0, seed_ring_size(self.m))
         _check_count("n", self.n, self.n0)
         if isinstance(self.p_t, bool) or not 0.0 <= self.p_t <= 1.0:
             raise ConfigError(f"p_t must be in [0, 1], got {self.p_t}")
         _check_count("seed", self.seed, 0)
-        if self.n0 < 3 and self.n > self.n0:
-            # an edgeless/near-edgeless seed leaves degree-proportional
-            # sampling undefined for incoming nodes
-            raise ConfigError("growth from a seed of fewer than 3 nodes is not supported")
-
-    def seed_edge_count(self) -> int:
-        if self.n0 >= 3:
-            return self.n0
-        return self.n0 - 1
 
     def metadata(self) -> dict:
         """Rule choices recorded alongside generated networks for audit."""
@@ -113,7 +105,7 @@ def _grow(config: GrowthConfig) -> list[int]:
     neighbor_lists: list[list[int]] = [[] for _ in range(n)]
     endpoints: list[int] = []  # both ends of every edge: a uniform entry is degree-proportional
 
-    for u in range(config.seed_edge_count()):
+    for u in range(n0):
         w = (u + 1) % n0
         neighbor_lists[u].append(w)
         neighbor_lists[w].append(u)

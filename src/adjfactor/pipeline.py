@@ -32,7 +32,7 @@ from typing import IO
 import numpy as np
 
 from .census import _write_csv, census, to_distribution, write_distribution_csv
-from .graph import DataError, Graph, load_edge_list, average_clustering_coefficient, write_edge_list
+from .graph import DataError, Graph, _open_text, load_edge_list, average_clustering_coefficient, write_edge_list
 from .growth import (
     CalibrationError,
     CalibrationResult,
@@ -124,14 +124,11 @@ def _summary(graph: Graph) -> dict:
     }
 
 
-def _write_json(target: str | os.PathLike | IO[str], payload: dict) -> None:
+def _write_json(target: str | bytes | os.PathLike | IO[str], payload: dict) -> None:
     """Write payload as indented, key-sorted JSON and a final newline to a path
-    (a str or os.PathLike, as UTF-8) or to an open text handle."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if isinstance(target, (str, os.PathLike)):
-        Path(target).write_text(text, encoding="utf-8")
-    else:
-        target.write(text)
+    or an open text handle (see `graph._open_text`)."""
+    with _open_text(target, "w") as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _fit_both_kinds(graph: Graph, prefix: str, out_dir: Path, log_base: float) -> dict:

@@ -112,7 +112,7 @@ def test_growth_model():
     for seed in range(10):
         low_cfg = GrowthConfig(n=n, n0=3, m=m, p_t=0.0, seed=seed)
         low = generate_pa_tf(low_cfg)
-        assert low.edge_count == low_cfg.seed_edge_count() + m * (n - low_cfg.n0)
+        assert low.edge_count == low_cfg.n0 + m * (n - low_cfg.n0)
         high = generate_pa_tf(GrowthConfig(n=n, n0=3, m=m, p_t=0.9, seed=seed))
         assert high.edge_count == low.edge_count
         if average_clustering_coefficient(high) > average_clustering_coefficient(low):

@@ -130,6 +130,14 @@ class TestGenerate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("nodes", ["2", "5"])
+    def test_seed_of_two_nodes_is_rejected(self, tmp_path, capsys, nodes):
+        out = tmp_path / "x.txt"
+        code = main(["generate", "--nodes", nodes, "-m", "1", "--n0", "2", "--pt", "0.5", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: n0 must be an integer >= 3, got 2\n")
+        assert not out.exists() and not (tmp_path / "x.txt.meta.json").exists()
+
 
 class TestCalibrate:
     def test_reachable_target(self, capsys):

@@ -50,11 +50,18 @@ class TestConfig:
             dict(n=10, n0=3, m=2, p_t=0.5, seed=1.5),
             dict(n=10, n0=3, m=True, p_t=0.5, seed=0),
             dict(n=10, n0=3, m=2, p_t=True, seed=0),
+            dict(n=1, n0=1, m=1, p_t=0.0, seed=3),
+            dict(n=2, n0=2, m=1, p_t=0.5, seed=3),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             GrowthConfig(**kwargs)
+
+    @pytest.mark.parametrize("n0,p_t", [(1, 0.0), (2, 0.5)])
+    def test_every_seed_is_a_ring_of_at_least_three_nodes(self, n0, p_t):
+        with pytest.raises(ConfigError, match=rf"^n0 must be an integer >= 3, got {n0}$"):
+            GrowthConfig(n=n0, n0=n0, m=1, p_t=p_t)
 
     def test_metadata_records_rule_choices(self):
         meta = GrowthConfig(n=10, n0=3, m=2, p_t=0.5, seed=1).metadata()
@@ -87,7 +94,7 @@ class TestGenerate:
         config = GrowthConfig(n=2000, n0=max(m, 3), m=m, p_t=p_t, seed=3)
         g = generate_pa_tf(config)
         assert g.node_count == config.n
-        assert g.edge_count == config.seed_edge_count() + m * (config.n - config.n0)
+        assert g.edge_count == config.n0 + m * (config.n - config.n0)
 
     def test_simple_graph_invariants(self):
         g = generate_pa_tf(GrowthConfig(n=800, n0=3, m=3, p_t=0.8, seed=5))
@@ -138,8 +145,6 @@ class TestGrowthInternals:
     @pytest.mark.parametrize(
         "config",
         [
-            GrowthConfig(n=1, n0=1, m=1, p_t=0.0, seed=3),
-            GrowthConfig(n=2, n0=2, m=1, p_t=0.5, seed=3),
             *(GrowthConfig(n=400, n0=3, m=1, p_t=p_t, seed=5) for p_t in (0.0, 0.5, 1.0)),
             *(GrowthConfig(n=400, n0=5, m=5, p_t=p_t, seed=6) for p_t in (0.0, 0.5, 1.0)),
         ],

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -8,11 +9,13 @@ import pytest
 
 from adjfactor import (
     ConfigError,
+    DataError,
     ExperimentConfig,
     Graph,
     GrowthConfig,
     generate_pa_tf,
     graph as graph_module,
+    load_edge_list,
     one_sample_t_test,
     pipeline,
     run_experiment,
@@ -533,3 +536,25 @@ def test_every_file_target_takes_a_str_or_any_path_like(tmp_path):
         assert read_distribution_csv(make(out / "s.csv")).counts.tolist() == [3]
         pipeline._write_json(make(out / "p.json"), {"a": 1})
         assert (out / "p.json").read_text() == '{\n  "a": 1\n}\n'
+
+
+def test_a_bytes_path_is_a_path(tmp_path):
+    graph = path_graph(4)
+    series = to_distribution(census(graph, "s"))
+    outputs = []
+    for make in (str, os.fsencode):
+        out = tmp_path / make.__name__
+        out.mkdir()
+        write_edge_list(graph, make(out / "g.txt"))
+        write_distribution_csv(series, make(out / "s.csv"))
+        pipeline._write_json(make(out / "p.json"), {"a": 1})
+        read = read_distribution_csv(make(out / "s.csv"))
+        outputs.append((
+            [(out / name).read_bytes() for name in ("g.txt", "s.csv", "p.json")],
+            load_edge_list(make(out / "g.txt")),
+            [read.support.tolist(), read.counts.tolist(), read.freq.tolist()],
+        ))
+    assert outputs[0] == outputs[1]
+    for reader in (read_distribution_csv, load_edge_list):
+        with pytest.raises(DataError):
+            reader(os.fsencode(tmp_path / "missing"))

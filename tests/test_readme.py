@@ -1,9 +1,10 @@
 """README's library example runs as written, so the documented API cannot go stale."""
 
 import re
+import shlex
 from pathlib import Path
 
-from adjfactor import GrowthConfig, generate_pa_tf, write_edge_list
+from adjfactor import GrowthConfig, cli, generate_pa_tf, write_edge_list
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -14,3 +15,13 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(compile(example, str(README), "exec"), {})
     assert capsys.readouterr().out.count("\n") == 2
+
+
+def test_command_lines_parse():
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("adjfactor ")]
+    assert lines
+    for line in lines:
+        argv = shlex.split(line.partition("#")[0])[1:]
+        args = cli.build_parser().parse_args(argv)
+        assert args.command == argv[0]
