@@ -2,15 +2,13 @@
 
 Two parametric families are fitted to adjacency-factor frequency series: a
 log-quadratic decay c*(b*x^-a)^log(x) for edge-level distributions, and the
-exponentially modified Gaussian for triangle-level ones. Fitting is
-derivative-free: an in-house bounded Nelder-Mead simplex runs from every start
-of a deterministic quasi-random grid at once, the starts advancing in lockstep
-so that each round scores all their trial points with one batched model call.
-Each run is still scipy's Nelder-Mead step for step; ordering its vertices
-takes a `sorted()` path only for distinct values without NaN, whose ascending
-order is unique, and leaves ties and NaN to np.argsort as scipy does.
-The edge-level model is linear in c, so it searches (a, b) alone and solves
-each point's c in closed form. Identical input always yields an identical result.
+exponentially modified Gaussian for triangle-level ones. Both fits share one
+bounded Levenberg-Marquardt solver with a forward-difference Jacobian, scored
+with one batched model call per iteration, and an active set that holds a
+parameter on a bound whose gradient points out of the box. The starts are
+the best few points of a deterministic Halton grid, scored once, and for the
+EMG its moment estimates; the edge-level start takes its c in closed form, as
+the model is linear in c. Identical input always yields an identical result.
 
 The EMG needs the scaled complementary error function erfcx(y) =
 exp(y^2)*erfc(y), which numpy lacks. It is computed here from a Chebyshev
@@ -28,8 +26,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from math import erfc  # re-exported as adjfactor.erfc
-from operator import add
-from typing import Callable, Generator, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,7 +37,10 @@ EMG = "emg"
 PARAM_NAMES = {S_COMPLEX: ("a", "b", "c"), EMG: ("lam", "mu", "sigma")}
 
 _SQRT2 = math.sqrt(2.0)
-_N_STARTS = 16  # Halton starts of each multistart search
+_N_HALTON = 16  # Halton points scored for the starts of each fit
+_MAX_ITERATIONS = 300  # of one Levenberg-Marquardt run
+_MAX_TRIES = 30  # damping tries of one iteration
+_SQRT_EPS = 2.0**-26  # the square root of the float64 machine epsilon
 
 # Chebyshev coefficients, in t = (y - 3)/(y + 3), of (y + 3)*erfcx(y) for
 # y >= 0; t maps [0, inf] onto [-1, 1], where the product runs from 3 to
@@ -121,9 +121,13 @@ def s_complex_model(x, a, b, c, log_base: float = 10.0):
     arr = np.asarray(x, dtype=float)
     if (arr <= 0.0).any():
         raise ValueError("model defined for x > 0 only")
-    exponent = np.log(arr) / math.log(log_base)
-    out = c * np.power(b * np.power(arr, -a), exponent)
+    out = c * _s_complex_terms(arr, np.log(arr) / math.log(log_base), a, b)
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _s_complex_terms(x, exponent, a, b):
+    """(b * x^-a)^exponent, the edge-level model without its factor c; exponent is log(x)."""
+    return np.power(b * np.power(x, -a), exponent)
 
 
 def emg_model(x, lam, mu, sigma):
@@ -186,6 +190,14 @@ def _emg_gaussian(x, lam, mu, sigma):
 
 @dataclass
 class FitResult:
+    """A least-squares fit and how its winning Levenberg-Marquardt run ended.
+
+    `converged` is whether that run met the stop test rather than the
+    iteration cap, `restarts` the number of starts run (over both families
+    of the EMG), `iterations` the winning run's iterations, and `at_bound`
+    the names of the parameters that end on a bound of their box.
+    """
+
     model: str
     params: dict[str, float]
     sse: float
@@ -194,6 +206,8 @@ class FitResult:
     support_max: float
     converged: bool
     restarts: int
+    iterations: int
+    at_bound: list[str]
 
 
 def model_function(model: str, params: Sequence[float] | dict, log_base: float = 10.0) -> Callable:
@@ -222,206 +236,105 @@ def _halton(count: int, dims: int) -> np.ndarray:
     return points
 
 
-class SimplexResult(NamedTuple):
-    x: list[float]
-    fun: float
-    nfev: int
-    success: bool
-    final_simplex: tuple[list[list[float]], list[float]]  # vertices and values, best first
+def _levenberg_marquardt(
+    residuals: Callable[[np.ndarray], np.ndarray],
+    start: np.ndarray,
+    low: np.ndarray,
+    high: np.ndarray,
+    sticky: tuple[int, ...] = (),
+) -> tuple[np.ndarray, float, bool, int]:
+    """Bounded Levenberg-Marquardt from one start: (point, SSE, converged, iterations).
 
-
-def _clip(point, low, high) -> list[float]:
-    """np.clip of a finite point, signed zeros included."""
-    return [min(hi, max(lo, v)) for v, lo, hi in zip(point, low, high)]
-
-
-def _along(xbar, worst, a: float, b: float, low, high) -> list[float]:
-    """The point a*xbar - b*worst on the line through the centroid and the worst vertex, clipped.
-
-    A coordinate strictly inside its bounds is kept as it is, which is what
-    `_clip` gives it; any other goes through `_clip`'s min/max.
+    `residuals` maps (k, d) parameter rows to their (k, n) residuals. Each
+    iteration scores the point and its d forward-difference rows in one call,
+    stepping backward where the forward step would pass the upper bound. A
+    coordinate on a bound whose gradient points outward is held for the step,
+    as is a `sticky` coordinate on its lower bound; the others solve the
+    damped normal equations, and the trial is clipped into the box. Only a
+    strictly lower SSE is accepted (never NaN). The run has converged when
+    the SSE drops by less than 1e-15 relative, the step is below 1e-12
+    relative or 30 damping tries fail; it stops unconverged after 300
+    iterations.
     """
-    return [
-        v if lo < (v := a * c - b * w) < hi else min(hi, max(lo, v))
-        for c, w, lo, hi in zip(xbar, worst, low, high)
-    ]
-
-
-def _centroid(rows: list) -> list[float]:
-    """Mean of the rows, each column added left to right from its first element.
-
-    That is np.add.reduce's order on these few rows. The builtin sum is not
-    used: from Python 3.12 on it compensates its rounding.
-    """
-    total = rows[0]
-    for row in rows[1:]:
-        total = map(add, total, row)
-    return [t / len(rows) for t in total]
-
-
-def _order(sim: list, fsim: list[float]) -> tuple[list, list[float]]:
-    """Vertices sorted by value exactly as scipy orders them with np.argsort.
-
-    Distinct values without NaN have exactly one ascending order, so `sorted`
-    finds it. np.argsort's sort is not stable on ties (-0.0 and 0.0 tie) and
-    places NaN last, so such values go to np.argsort itself.
-    """
-    values = sorted(fsim)
-    for low, high in zip(values, values[1:]):
-        if not low < high:
-            order = np.argsort(np.array(fsim)).tolist()
-            return [sim[i] for i in order], [fsim[i] for i in order]
-    return [sim[fsim.index(v)] for v in values], values
-
-
-def _nelder_mead(
-    x0: Sequence[float],
-    low: Sequence[float],
-    high: Sequence[float],
-    xatol: float,
-    fatol: float,
-    maxfev: int,
-) -> Generator[list[list[float]], list[float], SimplexResult]:
-    """Bounded Nelder-Mead simplex that yields trial points and is sent their values.
-
-    A step-for-step port of scipy 1.17's non-adaptive `_minimize_neldermead`
-    with finite bounds: the same initial simplex (reflected into the bounds),
-    the same clipped reflect/expand/contract/shrink points, the same
-    arithmetic and vertex order and the same stopping tests, so it returns
-    bit for bit the x, fun, nfev, success and final simplex that
-    scipy.optimize.minimize returns for method="Nelder-Mead". Points that
-    scipy evaluates one after another without a decision in between (the
-    initial simplex, a shrink) are yielded together; a list is cut short
-    where scipy would hit maxfev, and a point it cannot score ends the search.
-    """
-    n = len(x0)
-    x0 = _clip(x0, low, high)
-    sim = [x0]
-    for k in range(n):
-        vertex = list(x0)
-        vertex[k] = (1 + 0.05) * vertex[k] if vertex[k] != 0 else 0.00025
-        sim.append(vertex)
-    # a vertex pushed past an upper bound is reflected inside, not flattened onto it
-    sim = [_clip([2 * hi - v if v > hi else v for v, hi in zip(row, high)], low, high) for row in sim]
-    fsim = (yield sim[:maxfev]) if maxfev > 0 else []
-    nfev = len(fsim)
-    # scipy starts from all-inf values: a vertex it could not score keeps inf
-    sim, fsim = _order(*_order(sim, fsim + [math.inf] * (n + 1 - nfev)))
-
-    while nfev < maxfev:
-        best, f_best = sim[0], fsim[0]
-        for f in fsim[1:]:
-            if not abs(f_best - f) <= fatol:
+    p, damping, sse = start, 1e-3, math.nan
+    for iteration in range(1, _MAX_ITERATIONS + 1):
+        h = _SQRT_EPS * np.maximum(np.abs(p), 1.0)
+        h = np.where(p + h > high, -h, h)
+        rows = residuals(p + np.diag(h, -1)[:, :-1])  # the point, then p + h_j e_j
+        r = rows[0]
+        sse = float(r @ r)
+        if not math.isfinite(sse):
+            return p, sse, False, iteration
+        jac = (rows[1:] - r) / h[:, None]  # row j: the derivatives by coordinate j
+        jac[~np.isfinite(jac).all(axis=1)] = 0.0  # such a coordinate is held
+        grad = jac @ r
+        normal = jac @ jac.T
+        scale = np.diag(normal)
+        held = ((p <= low) & (grad > 0.0)) | ((p >= high) & (grad < 0.0))
+        held[[j for j in sticky if p[j] <= low[j]]] = True
+        free = (scale > 0.0) & ~held
+        system, damped, descent = normal[free][:, free], np.diag(scale[free]), -grad[free]
+        for _ in range(_MAX_TRIES):
+            trial = p.copy()
+            trial[free] += np.linalg.solve(system + damping * damped, descent)
+            np.clip(trial, low, high, out=trial)
+            moved = trial - p
+            if moved @ moved <= 1e-24 * (p @ p):
+                return p, sse, True, iteration
+            r = residuals(trial[None, :])[0]
+            trial_sse = float(r @ r)
+            if trial_sse < sse:
                 break
+            damping *= 4.0
         else:
-            if all(abs(v - b) <= xatol for row in sim[1:] for v, b in zip(row, best)):
-                break
-        xbar = _centroid(sim[:-1])
-        worst = sim[-1]
-        # reflect, expand and contract with scipy's rho=1, chi=2, psi=0.5; a
-        # point past maxfev is not scored and ends the search, simplex as it was
-        xr = _along(xbar, worst, 2, 1, low, high)
-        (fxr,) = yield [xr]
-        nfev += 1
-        if fxr < fsim[0]:
-            if nfev < maxfev:
-                xe = _along(xbar, worst, 3, 2, low, high)
-                (fxe,) = yield [xe]
-                nfev += 1
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif nfev < maxfev:
-            if fxr < fsim[-1]:
-                xc = _along(xbar, worst, 1.5, 0.5, low, high)
-                (fxc,) = yield [xc]
-                shrink = not fxc <= fxr
-                candidate = (xc, fxc)
-            else:
-                xcc = _along(xbar, worst, 0.5, -0.5, low, high)
-                (fxcc,) = yield [xcc]
-                shrink = not fxcc < fsim[-1]
-                candidate = (xcc, fxcc)
-            nfev += 1
-            if not shrink:
-                sim[-1], fsim[-1] = candidate
-            else:
-                shrunk = [_clip([b + 0.5 * (v - b) for b, v in zip(best, row)], low, high) for row in sim[1:]]
-                values = (yield shrunk[: maxfev - nfev]) if nfev < maxfev else []
-                nfev += len(values)
-                # scipy moves a vertex before scoring it: the one it could not
-                # score has moved but keeps its old value
-                sim[1 : len(values) + 2] = shrunk[: len(values) + 1]
-                fsim[1 : len(values) + 1] = values
-        sim, fsim = _order(sim, fsim)
-    return SimplexResult(sim[0], float(np.min(fsim)), nfev, nfev < maxfev, (sim, fsim))
+            return p, sse, True, iteration
+        damping /= 3.0
+        p, sse, drop = trial, trial_sse, sse - trial_sse
+        if drop <= 1e-15 * (sse + drop):
+            return p, sse, True, iteration
+    return p, sse, False, _MAX_ITERATIONS
 
 
-def _lockstep(
-    score: Callable[[np.ndarray], np.ndarray],
-    starts: Sequence[Sequence[float]],
-    bounds: Sequence[tuple[float, float]],
-    xatol: float,
-    fatol: float,
-    maxfev: int = 4000,
-) -> list[SimplexResult]:
-    """One bounded Nelder-Mead run per start, all advanced together.
+def _beats(run: tuple, incumbent: tuple) -> bool:
+    """Whether a run beats the incumbent: a converged run beats a capped one, then the lower SSE.
 
-    Every round stacks the pending trial points of all live runs into one
-    (k, d) array and scores them with a single call of `score`, which returns
-    the k objective values; each run reads its own by offset.
+    A run that hit the cap was still descending, as where the EMG slides
+    toward sigma = 0 with mu/sigma fixed, a limit it never reaches. NaN is
+    worse than any number.
     """
-    low = [float(b[0]) for b in bounds]
-    high = [float(b[1]) for b in bounds]
-    results: list[SimplexResult | None] = [None] * len(starts)
-    live = []  # (index, run, pending points) of each run not yet finished
-    for i, x0 in enumerate(starts):
-        run = _nelder_mead(x0, low, high, xatol, fatol, maxfev)
-        try:
-            live.append((i, run, next(run)))
-        except StopIteration as stop:
-            results[i] = stop.value
-    while live:
-        values = score(np.array([point for _, _, pending in live for point in pending])).tolist()
-        still = []
-        end = 0
-        for i, run, pending in live:
-            start, end = end, end + len(pending)
-            try:
-                still.append((i, run, run.send(values[start:end])))
-            except StopIteration as stop:
-                results[i] = stop.value
-        live = still
-    return results
+    if run[2] != incumbent[2]:
+        return run[2]
+    return run[1] < incumbent[1] or (math.isnan(incumbent[1]) and not math.isnan(run[1]))
 
 
-def _beats(fun: float, incumbent: float) -> bool:
-    """Whether an objective value improves on the incumbent; NaN is worse than any number."""
-    return fun < incumbent or (math.isnan(incumbent) and not math.isnan(fun))
-
-
-def _multistart_simplex(
-    score: Callable[[np.ndarray], np.ndarray],
-    bounds: list[tuple[float, float]],
-) -> SimplexResult:
-    """Best of the Nelder-Mead runs from `_N_STARTS` Halton starts, then re-polished.
-
-    Restart polishing also unsticks runs that stalled on a clipped bound.
-    """
-    low = np.array([b[0] for b in bounds])
-    high = np.array([b[1] for b in bounds])
-    starts = [(low + h * (high - low)).tolist() for h in _halton(_N_STARTS, len(bounds))]
+def _best_run(residuals: Callable, starts: np.ndarray, low: np.ndarray, high: np.ndarray, sticky=()):
+    """The best of the Levenberg-Marquardt runs from each start; a tie goes to the earlier start."""
     best = None
-    for result in _lockstep(score, starts, bounds, xatol=1e-10, fatol=1e-14):
-        if best is None or _beats(result.fun, best.fun):
-            best = result
-    for _ in range(6):
-        (result,) = _lockstep(score, [best.x], bounds, xatol=1e-13, fatol=1e-16)
-        if _beats(result.fun, best.fun):
-            best = result
-        else:
-            break
+    for start in starts:
+        run = _levenberg_marquardt(residuals, start, low, high, sticky)
+        if best is None or _beats(run, best):
+            best = run
     return best
+
+
+def _best_halton(score: Callable, low: np.ndarray, high: np.ndarray, count: int) -> np.ndarray:
+    """The `count` lowest-scoring of `_N_HALTON` Halton points of the box, scored in one call."""
+    points = low + _halton(_N_HALTON, len(low)) * (high - low)
+    return points[np.argsort(score(points), kind="stable")[:count]]
+
+
+def _emg_moment_start(x: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """Ex-Gaussian moment estimates of (lam, mu, sigma), the frequencies taken as weights.
+
+    tau = sd*(skew/2)^(1/3), with the skewness clipped into (0, 2), then
+    lam = 1/tau, mu = mean - tau and sigma^2 = var - tau^2.
+    """
+    weights = observed / observed.sum()
+    mean = weights @ x
+    var = weights @ (x - mean) ** 2
+    skew = weights @ (x - mean) ** 3 / var**1.5
+    tau = math.sqrt(var) * (np.clip(skew, 0.01, 1.99) / 2.0) ** (1.0 / 3.0)
+    return np.array([1.0 / tau, mean - tau, np.sqrt(var - tau * tau)])
 
 
 def _sse(predicted: np.ndarray, observed: np.ndarray) -> np.ndarray:
@@ -439,7 +352,7 @@ def _s_complex_projection(x: np.ndarray, observed: np.ndarray, log_base: float) 
     exponent = np.log(x) / math.log(log_base)
 
     def project(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g = np.power(p[:, 1:2] * np.power(x, -p[:, 0:1]), exponent)
+        g = _s_complex_terms(x, exponent, p[:, 0:1], p[:, 1:2])
         gg = (g * g).sum(axis=1)
         c = ((g * observed).sum(axis=1) / np.where(gg > 0.0, gg, np.inf)).clip(1e-8, 1.0)[:, None]
         return c, _sse(c * g, observed)
@@ -459,9 +372,10 @@ def fit(model: str, series: DistributionSeries, log_base: float = 10.0) -> FitRe
     """Least-squares fit of a model to a frequency series.
 
     The edge-level model is fitted on support >= 1 (its log is undefined at
-    0), by a 2-D search over (a, b) with c solved in closed form at each
-    point; the EMG uses the whole support. Multi-start keeps the result
-    deterministic: ties break toward the earlier start.
+    0), the EMG on the whole support. Each start runs the bounded
+    Levenberg-Marquardt solver. A run that met the stop test beats one cut
+    by the iteration cap, then the least SSE wins and a tie goes to the
+    earlier start, so the result is deterministic.
     """
     if model not in PARAM_NAMES:
         raise ValueError(f"unknown model {model!r}")
@@ -477,45 +391,54 @@ def fit(model: str, series: DistributionSeries, log_base: float = 10.0) -> FitRe
     if not (observed > 0.0).any():
         raise FitError(f"no positive frequency on the support to fit {model}")
 
-    if model == S_COMPLEX:
-        project = _s_complex_projection(x, observed, log_base)
-        best = _multistart_simplex(lambda p: project(p)[1], [(0.0, 3.0), (1e-8, 2.0)])
-        values = [*best.x, float(project(np.array([best.x]))[0][0, 0])]
-        restarts = _N_STARTS
-    else:
-        x_max = float(x.max())
+    # trial points may sit where the EMG's discarded branches overflow
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if model == S_COMPLEX:
+            low, high = np.array([0.0, 1e-8, 1e-8]), np.array([3.0, 2.0, 1.0])
+            project = _s_complex_projection(x, observed, log_base)
+            plane = _best_halton(lambda p: project(p)[1], low[:2], high[:2], 3)
+            starts = np.hstack([plane, project(plane)[0]])
+            exponent = np.log(x) / math.log(log_base)
 
-        def score(p: np.ndarray) -> np.ndarray:
-            return _sse(_emg(x, p[:, 0:1], p[:, 1:2], p[:, 2:3]), observed)
+            def residuals(p: np.ndarray) -> np.ndarray:
+                return p[:, 2:3] * _s_complex_terms(x, exponent, p[:, 0:1], p[:, 1:2]) - observed
 
-        # degenerate sigma=0 family: the pointwise sigma->0 limit differs from
-        # the sigma=0 convention at x=mu, so the boundary must be probed
-        # explicitly or exponential-shaped series cannot be fitted exactly
-        def score_exp(p: np.ndarray) -> np.ndarray:
-            return _sse(_emg_exponential(x, p[:, 0:1], p[:, 1:2]), observed)
-
-        # trial points may sit where the model's discarded branches overflow
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            best = _multistart_simplex(score, [(1e-6, 5.0), (0.0, x_max), (0.0, x_max)])
-            pinned = _multistart_simplex(score_exp, [(1e-6, 5.0), (0.0, x_max)])
-        if _beats(pinned.fun, best.fun):
-            values = [*pinned.x, 0.0]
-            best = pinned
+            values, sse, converged, iterations = _best_run(residuals, starts, low, high)
         else:
-            values = list(best.x)
-        restarts = 2 * _N_STARTS
+            low, high = np.array([1e-6, 0.0, 0.0]), np.array([5.0, x.max(), x.max()])
 
+            def residuals(p: np.ndarray) -> np.ndarray:
+                return _emg(x, p[:, 0:1], p[:, 1:2], p[:, 2:3]) - observed
+
+            # degenerate sigma=0 family, probed on its own, or exponential-shaped
+            # series cannot be fitted exactly; its value at a support point drops
+            # to 0 as mu passes it, so mu stays on its lower bound once there
+            def residuals_exp(p: np.ndarray) -> np.ndarray:
+                return _emg_exponential(x, p[:, 0:1], p[:, 1:2]) - observed
+
+            moments = np.clip(_emg_moment_start(x, observed), low, high)
+            plane = _best_halton(lambda p: (residuals(p) ** 2).sum(axis=1), low, high, 2)
+            starts = np.vstack([moments, plane])
+            values, sse, converged, iterations = full = _best_run(residuals, starts, low, high)
+            pinned = _best_run(residuals_exp, starts[:, :2], low[:2], high[:2], sticky=(1,))
+            if _beats(pinned, full):
+                (lam, mu), sse, converged, iterations = pinned
+                values = np.array([lam, mu, 0.0])
+
+    values = values.tolist()
     params = dict(zip(PARAM_NAMES[model], values))
     predicted = model_function(model, values, log_base=log_base)(x)
     return FitResult(
         model=model,
         params=params,
-        sse=float(best.fun),
+        sse=sse,
         mnd=mnd(x, observed, predicted),
         support_min=float(x.min()),
         support_max=float(x.max()),
-        converged=bool(best.success),
-        restarts=restarts,
+        converged=converged,
+        restarts=len(starts) * (1 if model == S_COMPLEX else 2),
+        iterations=iterations,
+        at_bound=[name for name, v, lo, hi in zip(params, values, low, high) if not lo < v < hi],
     )
 
 

@@ -253,187 +253,6 @@ class TestReferenceConstant:
             reference_constant([], [])
 
 
-def _rosenbrock(p):
-    return float((1.0 - p[0]) ** 2 + 100.0 * (p[1] - p[0] ** 2) ** 2)
-
-
-def _bowl(p):
-    return float(np.sum((p - np.array([0.3, 1.7, 0.05])[: len(p)]) ** 2))
-
-
-def _flat_below_one(p):
-    # flat wherever p[0] <= 1, and the lower bound of p[0] keeps the search there
-    return float(max(p[0], 1.0) - 1.0 + 0.0 * p[1])
-
-
-def _constant(p):
-    # rejects every reflection and contraction, so each step shrinks
-    return 1.0
-
-
-def _two_level(p):
-    # the start's first two vertices tie at 1 and its last two at 0: the order
-    # np.argsort gives such ties is not the stable one
-    return 0.0 if max(p[1], p[2]) > 0.51 else 1.0
-
-
-def _staircase(p):
-    # plateaus: an expansion can tie the reflection it extends
-    return float(math.floor(3 * p[0]) + math.floor(3 * p[1]))
-
-
-def _nan_right_of_half(p):
-    return float("nan") if p[0] > 0.5 else float((p[0] - 0.2) ** 2 + (p[1] - 0.4) ** 2)
-
-
-def _nan_left_of_half(p):
-    return float("nan") if p[0] < 0.5 else float((p[0] - 0.7) ** 2 + (p[1] - 0.4) ** 2)
-
-
-def _kinked(p):
-    return float(abs(p[0] - 0.25) + abs(p[1] - 0.5))
-
-
-S_BOUNDS = [(0.0, 3.0), (1e-8, 2.0), (1e-8, 1.0)]
-
-# (name, objective, start, bounds, xatol, fatol, maxfev)
-ORACLE_CASES = [
-    ("rosenbrock-2d", _rosenbrock, [-1.2, 1.0], [(-2.0, 2.0), (-1.0, 3.0)], 1e-10, 1e-14, 4000),
-    ("bowl-3d", _bowl, [1.0, 0.5, 0.5], S_BOUNDS, 1e-10, 1e-14, 4000),
-    ("bowl-3d-polish", _bowl, [0.3, 1.7, 0.05], S_BOUNDS, 1e-13, 1e-16, 4000),
-    ("upper-bound-start", _bowl, [3.0, 2.0, 1.0], S_BOUNDS, 1e-10, 1e-14, 4000),
-    ("zero-start", _bowl, [0.0, 1e-8, 0.5], S_BOUNDS, 1e-10, 1e-14, 4000),
-    ("flat-at-bound", _flat_below_one, [0.5, 0.5], [(0.0, 3.0), (0.0, 1.0)], 1e-10, 1e-14, 4000),
-    ("tied-pairs", _two_level, [0.5, 0.5, 0.5], [(0.0, 1.0)] * 3, 1e-10, 1e-14, 4000),
-    ("tied-expansion", _staircase, [0.25, 0.667], [(0.0, 1.0), (0.0, 1.0)], 1e-10, 1e-14, 4000),
-    ("constant-shrinks", _constant, [0.5, 0.5, 0.5], [(0.0, 1.0)] * 3, 1e-10, 1e-14, 4000),
-    ("nan-region", _nan_right_of_half, [0.45, 0.9], [(0.0, 1.0), (0.0, 1.0)], 1e-10, 1e-14, 4000),
-    ("nan-start", _nan_right_of_half, [0.9, 0.9], [(0.0, 1.0), (0.0, 1.0)], 1e-10, 1e-14, 4000),
-    ("nan-first-vertex", _nan_left_of_half, [0.49, 0.5], [(0.0, 1.0), (0.0, 1.0)], 1e-10, 1e-14, 4000),
-    ("kinked", _kinked, [0.9, 0.1], [(0.0, 1.0), (0.0, 1.0)], 1e-10, 1e-14, 4000),
-] + [
-    (f"maxfev-{maxfev}{objective.__name__}", objective, start, bounds, 1e-10, 1e-14, maxfev)
-    for maxfev in (0, 1, 2, 3, 5, 7, 11, 30)
-    for objective, start, bounds in (
-        (_rosenbrock, [-1.2, 1.0], [(-2.0, 2.0), (-1.0, 3.0)]),
-        (_constant, [0.5, 0.5, 0.5], [(0.0, 1.0)] * 3),
-        (_two_level, [0.5, 0.5, 0.5], [(0.0, 1.0)] * 3),
-        (_nan_left_of_half, [0.49, 0.5], [(0.0, 1.0), (0.0, 1.0)]),
-    )
-]
-
-
-def _batched(objective):
-    return lambda points: np.array([objective(row) for row in points])
-
-
-def _scipy_simplex(objective, start, bounds, xatol, fatol, maxfev):
-    """scipy's bounded Nelder-Mead from `start`: the oracle, skipped where scipy is absent."""
-    minimize = pytest.importorskip("scipy.optimize").minimize
-    return minimize(
-        objective, np.array(start), method="Nelder-Mead", bounds=bounds,
-        options={"xatol": xatol, "fatol": fatol, "maxfev": maxfev},
-    )
-
-
-def _assert_same_as_scipy(result, expected):
-    assert np.array(result.x).tobytes() == expected.x.tobytes()
-    assert np.float64(result.fun).tobytes() == np.float64(expected.fun).tobytes()
-    assert result.nfev == expected.nfev
-    assert result.success == expected.success
-    simplex, values = result.final_simplex
-    assert np.array(simplex).tobytes() == expected.final_simplex[0].tobytes()
-    assert np.array(values).tobytes() == expected.final_simplex[1].tobytes()
-
-
-class TestSimplexOracle:
-    """The in-house Nelder-Mead against scipy.optimize.minimize, bit for bit."""
-
-    @pytest.mark.parametrize("case", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
-    def test_matches_scipy(self, case):
-        _, objective, start, bounds, xatol, fatol, maxfev = case
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            expected = _scipy_simplex(objective, start, bounds, xatol, fatol, maxfev)
-        (result,) = models._lockstep(_batched(objective), [start], bounds, xatol, fatol, maxfev)
-        _assert_same_as_scipy(result, expected)
-
-    @pytest.mark.parametrize("case", [c for c in ORACLE_CASES if c[6] == 4000], ids=lambda c: c[0])
-    def test_every_maxfev_cut_matches_scipy(self, case):
-        # a budget that runs out in the initial simplex, at an expansion, a
-        # contraction or inside a shrink ends the search where scipy ends it
-        _, objective, start, bounds, xatol, fatol, _ = case
-        for maxfev in range(41):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                expected = _scipy_simplex(objective, start, bounds, xatol, fatol, maxfev)
-            (result,) = models._lockstep(_batched(objective), [start], bounds, xatol, fatol, maxfev)
-            _assert_same_as_scipy(result, expected)
-
-    def test_lockstep_runs_match_separate_runs(self):
-        bounds = [(-2.0, 2.0), (-1.0, 3.0)]
-        starts = [[-1.2, 1.0], [2.0, 3.0], [0.0, 0.0], [1.5, -1.0]]
-        results = models._lockstep(_batched(_rosenbrock), starts, bounds, 1e-10, 1e-14, 4000)
-        for start, result in zip(starts, results):
-            expected = _scipy_simplex(_rosenbrock, start, bounds, 1e-10, 1e-14, 4000)
-            _assert_same_as_scipy(result, expected)
-
-
-class TestCentroid:
-    def test_adds_left_to_right_like_numpy(self):
-        # compensated summation (the builtin sum from Python 3.12) gives 1/3
-        rows = [[1e16, 2.0], [1.0, 3.0], [-1e16, 4.0]]
-        expected = np.add.reduce(np.array(rows), 0) / 3
-        assert np.array(models._centroid(rows)).tobytes() == expected.tobytes()
-        assert models._centroid(rows)[0] == 0.0
-
-    def test_random_rows_match_numpy(self):
-        rng = np.random.default_rng(3)
-        for count in (2, 3):
-            for rows in rng.standard_normal((2000, count, 3)) * 10.0 ** rng.integers(-3, 17, (2000, count, 1)):
-                expected = np.add.reduce(rows, 0) / count
-                assert np.array(models._centroid(rows.tolist())).tobytes() == expected.tobytes()
-
-
-@pytest.fixture(scope="module")
-def fixture_objectives(synthetic_input):
-    """Each multistart search of both fits on the determinism fixture's input.
-
-    Family name -> (score, starts, bounds, results), recorded from the first
-    `_lockstep` call of each `_multistart_simplex`.
-    """
-    graph, _ = adjfactor.load_edge_list(synthetic_input)
-    recorded = []
-    original = models._lockstep
-
-    def record(score, starts, bounds, xatol, fatol, maxfev=4000):
-        results = original(score, starts, bounds, xatol, fatol, maxfev)
-        if len(starts) > 1:
-            recorded.append((score, starts, bounds, results))
-        return results
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(models, "_lockstep", record)
-        fit("s_complex", adjfactor.to_distribution(adjfactor.census(graph, "s")))
-        fit("emg", adjfactor.to_distribution(adjfactor.census(graph, "t")))
-    return dict(zip(("s_complex", "emg", "emg-sigma0"), recorded))
-
-
-class TestRealObjectiveOracle:
-    """Every Halton start of fit's own searches against scipy, bit for bit."""
-
-    @pytest.mark.parametrize("family", ["s_complex", "emg", "emg-sigma0"])
-    def test_each_start_matches_scipy(self, fixture_objectives, family):
-        score, starts, bounds, results = fixture_objectives[family]
-        # the edge-level search runs over (a, b) alone, c solved in closed form
-        assert len(starts) == 16 and len(bounds) == (3 if family == "emg" else 2)
-        for start, result in zip(starts, results):
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"), warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                expected = _scipy_simplex(lambda p: score(p[None, :])[0], start, bounds, 1e-10, 1e-14, 4000)
-            _assert_same_as_scipy(result, expected)
-
-
 # (a, b) rows of the edge-level search, both bounds of each included
 S_PROJECTION_ROWS = np.array([
     [0.0, 1e-8], [3.0, 1e-8], [0.0, 2.0], [3.0, 2.0],
@@ -481,18 +300,8 @@ class TestSComplexProjection:
         assert sse.tolist() == [(observed**2).sum()] * 2
 
 
-def _three_parameter_search(series):
-    """The edge-level least squares searched over (a, b, c) with the public model: the reference."""
-    x, observed = series.restrict(1.0)
-
-    def score(p):
-        return models._sse(s_complex_model(x, p[:, 0:1], p[:, 1:2], p[:, 2:3]), observed)
-
-    return models._multistart_simplex(score, [(0.0, 3.0), (1e-8, 2.0), (1e-8, 1.0)])
-
-
 class TestSComplexAgainstThreeParameterSearch:
-    """Solving c never ends worse than searching it."""
+    """The (a, b, c) search ends where c is solved: no c does better at its (a, b)."""
 
     @pytest.mark.parametrize("grown", [None, (800, 2, 0.3, 1), (1500, 3, 0.6, 2), (1000, 5, 0.85, 3)])
     def test_sse_no_worse(self, synthetic_input, grown):
@@ -502,43 +311,125 @@ class TestSComplexAgainstThreeParameterSearch:
             n, m, p_t, seed = grown
             graph = adjfactor.generate_pa_tf(adjfactor.GrowthConfig(n=n, n0=m + 1, m=m, p_t=p_t, seed=seed))
         series = adjfactor.to_distribution(adjfactor.census(graph, "s"))
-        old = _three_parameter_search(series)
         result = fit("s_complex", series)
-        assert result.sse <= old.fun * (1 + 1e-12)
-        assert result.converged and result.restarts == 16
+        x, observed = series.restrict(1.0)
+        a, b, c = result.params.values()
+        solved_c, solved = models._s_complex_projection(x, observed, 10.0)(np.array([[a, b]]))
+        assert result.sse <= solved[0] * (1 + 1e-9)
+        assert c == pytest.approx(solved_c[0, 0], rel=1e-6)
+        assert result.converged and result.restarts == 3
 
 
-def _bowl_nan_lower_left(p):
-    if p[0] < 0.6 and p[1] < 0.5:
-        return float("nan")
-    return float((p[0] - 0.9) ** 2 + (p[1] - 0.9) ** 2)
+def _bowl_residuals(p):
+    """Residuals of a bowl least at (0.9, 0.9); NaN where p[0] < 0.6 and p[1] < 0.5."""
+    r = p - 0.9
+    r[(p[:, 0] < 0.6) & (p[:, 1] < 0.5)] = np.nan
+    return r
+
+
+UNIT_BOX = np.array([0.0, 0.0]), np.array([1.0, 1.0])
 
 
 class TestNanNeverWins:
     """A NaN objective value loses to any number, also when it comes first."""
 
     def test_multistart_replaces_nan_first_start(self):
-        bounds = [(0.0, 1.0), (0.0, 1.0)]
-        (first,) = models._lockstep(
-            _batched(_bowl_nan_lower_left), [[0.5, 1 / 3]], bounds, 1e-10, 1e-14
-        )
-        assert math.isnan(first.fun)  # Halton start 0 lies in the NaN region
-        best = models._multistart_simplex(_batched(_bowl_nan_lower_left), bounds)
-        assert best.fun < 1e-12
-        assert best.x == pytest.approx([0.9, 0.9], abs=1e-6)
+        starts = np.array([[0.5, 1 / 3], [0.25, 0.75]])
+        first = models._levenberg_marquardt(_bowl_residuals, starts[0], *UNIT_BOX)
+        assert math.isnan(first[1])  # the first start lies in the NaN region
+        point, sse, converged, _ = models._best_run(_bowl_residuals, starts, *UNIT_BOX)
+        assert sse < 1e-12 and converged
+        assert point == pytest.approx([0.9, 0.9], abs=1e-6)
 
     def test_fit_takes_pinned_family_over_nan(self, monkeypatch):
-        original = models._multistart_simplex
+        original = models._best_run
 
-        def nan_unless_pinned(score, bounds):
-            result = original(score, bounds)
-            return result if len(bounds) == 2 else result._replace(fun=float("nan"))
+        def nan_unless_pinned(residuals, starts, low, high, sticky=()):
+            point, sse, converged, iterations = original(residuals, starts, low, high, sticky)
+            return point, sse if len(low) == 2 else math.nan, converged, iterations
 
-        monkeypatch.setattr(models, "_multistart_simplex", nan_unless_pinned)
+        monkeypatch.setattr(models, "_best_run", nan_unless_pinned)
+        # the second is the phone-calls network of Table 2 on test_fit_recovery's support
+        for x, lam in [(np.arange(0, 30), 0.3), (np.arange(0, 61), 0.43)]:
+            result = fit("emg", series_from(x, emg_model(x, lam, 0.0, 0.0)))
+            assert result.params["sigma"] == 0.0
+            assert result.sse < 1e-12
+
+    def test_pinned_family_wins_on_a_pure_exponential(self):
         x = np.arange(0, 30)
-        result = fit("emg", series_from(x, emg_model(x, 0.3, 0.0, 0.0)))
+        result = fit("emg", series_from(x, emg_model(x, 0.43, 0.0, 0.0)))
         assert result.params["sigma"] == 0.0
-        assert result.sse < 1e-12
+        assert result.params["lam"] == pytest.approx(0.43, rel=1e-9)
+        assert result.sse < 1e-20
+        assert result.at_bound == ["mu", "sigma"]
+
+
+class TestLevenbergMarquardt:
+    """The bounded solver on small least-squares problems."""
+
+    def test_optimum_outside_the_box_ends_on_its_bounds(self):
+        # the bowl's least point (1.4, -0.2) lies outside; the box's nearest corner is the optimum
+        def residuals(p):
+            return p - np.array([1.4, -0.2])
+
+        point, sse, converged, _ = models._levenberg_marquardt(residuals, np.array([0.3, 0.6]), *UNIT_BOX)
+        assert point.tolist() == [1.0, 0.0]
+        assert sse == pytest.approx(0.2, rel=1e-12)
+        assert converged
+
+    def test_every_scored_row_lies_in_the_box(self):
+        # starting on the upper bound: its difference steps go backward
+        low, high = np.array([0.0, 1e-8]), np.array([3.0, 2.0])
+        scored = []
+
+        def residuals(p):
+            scored.append(p.copy())
+            return np.hstack([p[:, :1] - 2.0, 10.0 * (p[:, 1:] - p[:, :1] ** 2 / 4.0), p[:, 1:] ** 3])
+
+        point, _, converged, _ = models._levenberg_marquardt(residuals, high.copy(), low, high)
+        rows = np.vstack(scored)
+        assert ((rows >= low) & (rows <= high)).all()
+        assert converged
+
+    def test_cap_ends_unconverged(self, monkeypatch):
+        monkeypatch.setattr(models, "_MAX_ITERATIONS", 2)
+        _, _, converged, iterations = models._levenberg_marquardt(_rosenbrock, *ROSENBROCK_START_AND_BOX)
+        assert not converged and iterations == 2
+
+    def test_cap_is_not_reached_on_rosenbrock(self):
+        point, sse, converged, iterations = models._levenberg_marquardt(_rosenbrock, *ROSENBROCK_START_AND_BOX)
+        assert converged and iterations < models._MAX_ITERATIONS
+        assert sse < 1e-20
+        assert point == pytest.approx([1.0, 1.0], abs=1e-9)
+
+    def test_a_capped_run_loses_to_a_converged_one(self, monkeypatch):
+        # on these counts the run from the moment start slides toward sigma -> 0
+        # with mu/sigma fixed, an SSE infimum no point attains, until the cap
+        support = np.array(list(CORNER_COUNTS), dtype=float)
+        counts = np.array(list(CORNER_COUNTS.values()), dtype=np.int64)
+        series = DistributionSeries(support=support, counts=counts, freq=counts / counts.sum())
+        runs = []
+        original = models._levenberg_marquardt
+
+        def record(*args):
+            runs.append(original(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(models, "_levenberg_marquardt", record)
+        result = fit("emg", series)
+        moment_run = runs[0]
+        assert not moment_run[2] and moment_run[1] < result.sse
+        assert result.converged and result.params["sigma"] > 0.5
+
+
+def _rosenbrock(p):
+    return np.hstack([1.0 - p[:, :1], 10.0 * (p[:, 1:] - p[:, :1] ** 2)])
+
+
+ROSENBROCK_START_AND_BOX = np.array([-1.2, 1.0]), np.array([-2.0, -1.0]), np.array([2.0, 3.0])
+
+# a grown replica's triangle-level counts (n=1866, m=2)
+CORNER_COUNTS = {0: 212, 1: 194, 2: 88, 3: 36, 4: 13, 5: 7, 6: 2, 7: 2, 9: 1, 11: 2}
 
 
 EMG_GRID_X = np.array([0.0, 1.0, 2.0, 3.0, 3.5, 4.0, 6.0, 9.0, 20.0, 60.0, 400.0])
@@ -622,6 +513,14 @@ class TestQuietFits:
             result = fit("emg", series)
         assert np.isfinite(list(result.params.values())).all()
         assert result.sse < 0.01
+
+    @pytest.mark.parametrize("freq", [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.5, 0.5, 0.0]])
+    def test_degenerate_moments_fit_without_warning(self, freq):
+        # one or two masses: zero or tiny variance, so the EMG's moment start divides by zero
+        x = np.arange(4)
+        for model, support in (("emg", x), ("s_complex", x + 1)):
+            result = fit(model, series_from(support, freq))
+            assert result.converged and np.isfinite(result.sse)
 
     @pytest.mark.parametrize("sigma", [1e-170, 5e-324])
     def test_underflowing_sigma_is_half_lam_at_mu_without_warning(self, sigma):

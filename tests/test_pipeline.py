@@ -73,6 +73,19 @@ class TestReportContents:
                 expected = one_sample_t_test(samples, section["real"]["params"][name]).to_dict()
                 assert section["t_tests"][name] == expected
 
+    def test_each_fit_records_its_run(self, experiment_run):
+        report, out_dir, _ = experiment_run
+        entry = report["networks"][0]
+        net_dir = out_dir / entry["name"]
+        for model, kind in (("s_complex", "s"), ("emg", "t")):
+            section = entry["models"][model]
+            persisted = json.loads((net_dir / f"real_{kind}_fit.json").read_text())
+            assert persisted == section["real"]
+            for fit_record in [section["real"], *section["replicas"]]:
+                assert fit_record["converged"] and fit_record["iterations"] > 0
+                assert fit_record["restarts"] == (3 if kind == "s" else 6)
+                assert set(fit_record["at_bound"]) <= set(PARAM_NAMES[model])
+
     def test_significance_flags_consistent(self, experiment_run):
         report, _, _ = experiment_run
         entry = report["networks"][0]
