@@ -10,6 +10,7 @@ import math
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from adjfactor import Graph, ParseError, models
 from adjfactor.graph import IngestReport
@@ -161,3 +162,18 @@ def reference_emg(x: np.ndarray, lam: np.ndarray, mu: np.ndarray, sigma: np.ndar
         h = 0.5 * lam * np.exp(-(half_z * half_z)) * reference_erfcx(np.abs(arg))
         gaussian = np.where(arg < 0.0, lam * np.exp(0.5 * (lam * sigma) ** 2 - lam * d) - h, h)
     return np.where(sigma == 0.0, limit, gaussian)
+
+
+def least_squares_oracle(residuals, start: np.ndarray, low: np.ndarray, high: np.ndarray) -> tuple[float, np.ndarray]:
+    """(SSE, point) where scipy's bounded trust-region least squares ends from `start`.
+
+    `residuals` maps (k, d) parameter rows to their (k, n) residuals, as the
+    fits' own solver takes them. Skipped where scipy is absent.
+    """
+    least_squares = pytest.importorskip("scipy.optimize").least_squares
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        found = least_squares(
+            lambda p: residuals(p[None, :])[0], start, bounds=(low, high), method="trf",
+            ftol=1e-15, xtol=1e-15, gtol=1e-15,
+        )
+    return float((found.fun**2).sum()), found.x

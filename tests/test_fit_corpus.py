@@ -9,11 +9,10 @@ support size and unit count of each series pin it to the growth stream that
 changes and its SSEs must be measured again.
 """
 
-import numpy as np
 import pytest
 
-import adjfactor
 from adjfactor import GrowthConfig, census, fit, generate_pa_tf, models, to_distribution
+from helpers import least_squares_oracle
 
 MODELS = {"s": "s_complex", "t": "emg"}
 
@@ -73,7 +72,6 @@ def test_sse_no_worse_than_nelder_mead(corpus, case):
 
 def _least_squares_oracle(model, series):
     """The fit, and the least SSE and its point that scipy's bounded trust-region solver reaches from its starts."""
-    least_squares = pytest.importorskip("scipy.optimize").least_squares
     searches = []
     original = models._best_run
 
@@ -84,16 +82,12 @@ def _least_squares_oracle(model, series):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(models, "_best_run", record)
         result = fit(model, series)
-    best = np.inf, None
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for residuals, starts, low, high in searches:
-            for start in starts:
-                found = least_squares(
-                    lambda p: residuals(p[None, :])[0], start, bounds=(low, high), method="trf",
-                    ftol=1e-15, xtol=1e-15, gtol=1e-15,
-                )
-                best = min(best, (float((found.fun**2).sum()), found.x), key=lambda pair: pair[0])
-    return result, *best
+    ends = [
+        least_squares_oracle(residuals, start, low, high)
+        for residuals, starts, low, high in searches
+        for start in starts
+    ]
+    return result, *min(ends, key=lambda end: end[0])
 
 
 @pytest.mark.parametrize("case", HEAD_SSE, ids=IDS)
@@ -104,10 +98,3 @@ def test_no_worse_than_least_squares_from_the_same_starts(corpus, case, request)
         assert result.sse > oracle and 0.0 < point[2] < 1e-12
     else:
         assert result.sse <= oracle * (1 + 1e-9)
-
-
-@pytest.mark.parametrize("kind", list(MODELS))
-def test_fixture_no_worse_than_least_squares_from_the_same_starts(synthetic_input, kind):
-    graph, _ = adjfactor.load_edge_list(synthetic_input)
-    result, oracle, _ = _least_squares_oracle(MODELS[kind], to_distribution(census(graph, kind)))
-    assert result.sse <= oracle * (1 + 1e-9)

@@ -20,7 +20,7 @@ from adjfactor import (
 )
 from adjfactor.census import DistributionSeries
 from adjfactor.models import model_function, reference_constant
-from helpers import BAD_LOG_BASES, reference_emg, reference_erfcx, series_erfc
+from helpers import BAD_LOG_BASES, least_squares_oracle, reference_emg, reference_erfcx, series_erfc
 
 TABLE_S_PARAMS = [
     (0.25, 0.75, 0.19),
@@ -430,6 +430,199 @@ ROSENBROCK_START_AND_BOX = np.array([-1.2, 1.0]), np.array([-2.0, -1.0]), np.arr
 
 # a grown replica's triangle-level counts (n=1866, m=2)
 CORNER_COUNTS = {0: 212, 1: 194, 2: 88, 3: 36, 4: 13, 5: 7, 6: 2, 7: 2, 9: 1, 11: 2}
+
+
+def _bowl(p):
+    return p - np.array([0.3, 1.7, 0.05])[: p.shape[1]]
+
+
+def _flat_below_one(p):
+    # zero wherever p[0] <= 1, and the lower bound of p[0] keeps the search there
+    return np.sqrt(np.maximum(p[:, :1], 1.0) - 1.0)
+
+
+def _constant(p):
+    # a zero Jacobian frees no coordinate: the run ends where it starts
+    return np.ones((len(p), 1))
+
+
+def _two_level(p):
+    # 0 past 0.51 and 1 below it: no difference step from 0.5 sees the drop
+    return np.where(np.maximum(p[:, 1:2], p[:, 2:3]) > 0.51, 0.0, 1.0)
+
+
+def _staircase(p):
+    # plateaus: every difference step lands on the start's step
+    return np.sqrt(np.floor(3.0 * p))
+
+
+def _nan_right_of_half(p):
+    r = p - np.array([0.2, 0.4])
+    r[p[:, 0] > 0.5] = np.nan
+    return r
+
+
+def _nan_left_of_half(p):
+    r = p - np.array([0.7, 0.4])
+    r[p[:, 0] < 0.5] = np.nan
+    return r
+
+
+def _kinked(p):
+    return np.abs(p - np.array([0.25, 0.5]))
+
+
+S_BOUNDS = [(0.0, 3.0), (1e-8, 2.0), (1e-8, 1.0)]
+
+# (name, residuals, start, bounds, iteration cap or None for the solver's own)
+ORACLE_CASES = [
+    ("rosenbrock-2d", _rosenbrock, [-1.2, 1.0], [(-2.0, 2.0), (-1.0, 3.0)], None),
+    ("bowl-3d", _bowl, [1.0, 0.5, 0.5], S_BOUNDS, None),
+    ("bowl-3d-polish", _bowl, [0.3, 1.7, 0.05], S_BOUNDS, None),
+    ("upper-bound-start", _bowl, [3.0, 2.0, 1.0], S_BOUNDS, None),
+    ("zero-start", _bowl, [0.0, 1e-8, 0.5], S_BOUNDS, None),
+    ("flat-at-bound", _flat_below_one, [0.5, 0.5], [(0.0, 3.0), (0.0, 1.0)], None),
+    ("tied-pairs", _two_level, [0.5, 0.5, 0.5], [(0.0, 1.0)] * 3, None),
+    ("tied-expansion", _staircase, [0.25, 0.667], [(0.0, 1.0), (0.0, 1.0)], None),
+    ("constant-shrinks", _constant, [0.5, 0.5, 0.5], [(0.0, 1.0)] * 3, None),
+    ("nan-region", _nan_right_of_half, [0.45, 0.9], [(0.0, 1.0), (0.0, 1.0)], None),
+    ("nan-start", _nan_right_of_half, [0.9, 0.9], [(0.0, 1.0), (0.0, 1.0)], None),
+    ("nan-first-vertex", _nan_left_of_half, [0.49, 0.5], [(0.0, 1.0), (0.0, 1.0)], None),
+    ("kinked", _kinked, [0.9, 0.1], [(0.0, 1.0), (0.0, 1.0)], None),
+] + [
+    (f"maxfev-{cap}{residuals.__name__}", residuals, start, bounds, cap)
+    for cap in (0, 1, 2, 3, 5, 7, 11, 30)
+    for residuals, start, bounds in (
+        (_rosenbrock, [-1.2, 1.0], [(-2.0, 2.0), (-1.0, 3.0)]),
+        (_constant, [0.5, 0.5, 0.5], [(0.0, 1.0)] * 3),
+        (_two_level, [0.5, 0.5, 0.5], [(0.0, 1.0)] * 3),
+        (_nan_left_of_half, [0.49, 0.5], [(0.0, 1.0), (0.0, 1.0)]),
+    )
+]
+
+
+def _run(residuals, start, low, high, cap=None, sticky=()):
+    """One Levenberg-Marquardt run, cut after `cap` iterations if given, and the iterates it scored."""
+    iterates = []
+
+    def scored(p):
+        if len(p) == len(start) + 1:  # the point and its difference rows
+            iterates.append(p[0].copy())
+        return residuals(p)
+
+    with pytest.MonkeyPatch.context() as patch:
+        if cap is not None:
+            patch.setattr(models, "_MAX_ITERATIONS", cap)
+        return models._levenberg_marquardt(scored, start, low, high, sticky), iterates
+
+
+def _same_run(run, expected):
+    point, sse, converged, iterations = run
+    assert point.tobytes() == expected[0].tobytes()
+    assert np.float64(sse).tobytes() == np.float64(expected[1]).tobytes()
+    assert (converged, iterations) == expected[2:]
+
+
+def _assert_matches_scipy(run, residuals, start, low, high):
+    """The run ends in the box no worse than scipy's least squares from its start.
+
+    scipy refuses a start with a non-finite residual; the run scores it once
+    and ends there, unconverged, with its NaN SSE.
+    """
+    point, sse, converged, iterations = run
+    if not np.isfinite(residuals(start[None, :])).all():
+        _same_run(run, (start, math.nan, False, 1))
+        return
+    oracle, _ = least_squares_oracle(residuals, start, low, high)
+    assert converged and ((low <= point) & (point <= high)).all()
+    # where scipy ends on a zero SSE this run may end a residual of 1e-10 short
+    # of it, as where its difference steps straddle the kink of `_kinked`
+    assert sse <= oracle * (1 + 1e-9) + 1e-20
+
+
+def _assert_cut(cut, full, iterates, start, cap):
+    """A run cut after `cap` iterations ends where the uncut run stood then."""
+    if cap == 0:  # nothing is scored
+        _same_run(cut, (start, math.nan, False, 0))
+    elif full[3] <= cap:
+        _same_run(cut, full)
+    else:
+        point, sse, converged, iterations = cut
+        assert point.tobytes() == iterates[cap].tobytes()
+        assert (converged, iterations) == (False, cap)
+        assert full[1] <= sse
+
+
+class TestSimplexOracle:
+    """The bounded solver on the small problems that once checked the simplex search, against scipy.
+
+    Each problem's residuals give as their SSE the objective the simplex
+    search minimised; scipy.optimize.least_squares from the same start is
+    the oracle. A `maxfev-` case also cuts the run after that many iterations.
+    """
+
+    @pytest.mark.parametrize("case", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+    def test_matches_scipy(self, case):
+        _, residuals, start, bounds, cap = case
+        start, (low, high) = np.array(start), np.array(bounds).T
+        full, iterates = _run(residuals, start, low, high)
+        _assert_matches_scipy(full, residuals, start, low, high)
+        if cap is not None:
+            _assert_cut(_run(residuals, start, low, high, cap)[0], full, iterates, start, cap)
+
+    @pytest.mark.parametrize("case", [c for c in ORACLE_CASES if c[4] is None], ids=lambda c: c[0])
+    def test_every_maxfev_cut_matches_scipy(self, case):
+        # every cap, through the run's last iteration and past it, ends the run
+        # where it stood; the SSE never rises from one cap to the next
+        _, residuals, start, bounds, _ = case
+        start, (low, high) = np.array(start), np.array(bounds).T
+        full, iterates = _run(residuals, start, low, high)
+        _assert_matches_scipy(full, residuals, start, low, high)
+        assert full[3] < 40
+        previous = float((residuals(start[None, :]) ** 2).sum())
+        for cap in range(41):
+            cut, _ = _run(residuals, start, low, high, cap)
+            _assert_cut(cut, full, iterates, start, cap)
+            if cap > 0:
+                assert not cut[1] > previous
+                previous = cut[1]
+
+
+@pytest.fixture(scope="module")
+def fixture_objectives(synthetic_input):
+    """Each search of both fits on the determinism fixture's input.
+
+    Family name -> (residuals, starts, low, high, sticky), recorded from
+    each `_best_run` call of `fit`.
+    """
+    graph, _ = adjfactor.load_edge_list(synthetic_input)
+    recorded = []
+    original = models._best_run
+
+    def record(residuals, starts, low, high, sticky=()):
+        recorded.append((residuals, starts, low, high, sticky))
+        return original(residuals, starts, low, high, sticky)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(models, "_best_run", record)
+        fit("s_complex", adjfactor.to_distribution(adjfactor.census(graph, "s")))
+        fit("emg", adjfactor.to_distribution(adjfactor.census(graph, "t")))
+    return dict(zip(("s_complex", "emg", "emg-sigma0"), recorded, strict=True))
+
+
+class TestRealObjectiveOracle:
+    """Every start of fit's own searches against scipy's least squares from that start."""
+
+    @pytest.mark.parametrize("family", ["s_complex", "emg", "emg-sigma0"])
+    def test_each_start_matches_scipy(self, fixture_objectives, family):
+        residuals, starts, low, high, sticky = fixture_objectives[family]
+        # the sigma=0 family searches (lam, mu), its mu held on its lower bound once there
+        assert starts.shape == (3, 2 if family == "emg-sigma0" else 3)
+        assert sticky == ((1,) if family == "emg-sigma0" else ())
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for start in starts:
+                run, _ = _run(residuals, start, low, high, sticky=sticky)
+                _assert_matches_scipy(run, residuals, start, low, high)
 
 
 EMG_GRID_X = np.array([0.0, 1.0, 2.0, 3.0, 3.5, 4.0, 6.0, 9.0, 20.0, 60.0, 400.0])
