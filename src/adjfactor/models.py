@@ -3,12 +3,13 @@
 Two parametric families are fitted to adjacency-factor frequency series: a
 log-quadratic decay c*(b*x^-a)^log(x) for edge-level distributions, and the
 exponentially modified Gaussian for triangle-level ones. Both fits share one
-bounded Levenberg-Marquardt solver with a forward-difference Jacobian, scored
-with one batched model call per iteration, and an active set that holds a
-parameter on a bound whose gradient points out of the box. The starts are
-the best few points of a deterministic Halton grid, scored once, and for the
-EMG its moment estimates; the edge-level start takes its c in closed form, as
-the model is linear in c. Identical input always yields an identical result.
+bounded Levenberg-Marquardt solver with a forward-difference Jacobian, each
+tried point scored with its difference rows in one batched model call, and
+an active set that holds a parameter on a bound whose gradient points out of
+the box. The starts are the best few points of a deterministic Halton grid,
+scored once, and for the EMG its moment estimates; the edge-level start takes
+its c in closed form, as the model is linear in c. Identical input always
+yields an identical result.
 
 The EMG needs the scaled complementary error function erfcx(y) =
 exp(y^2)*erfc(y), which numpy lacks. It is computed here from a Chebyshev
@@ -38,7 +39,7 @@ PARAM_NAMES = {S_COMPLEX: ("a", "b", "c"), EMG: ("lam", "mu", "sigma")}
 
 _SQRT2 = math.sqrt(2.0)
 _N_HALTON = 16  # Halton points scored for the starts of each fit
-_MAX_ITERATIONS = 300  # of one Levenberg-Marquardt run
+_MAX_ITERATIONS = 150  # of one Levenberg-Marquardt run
 _MAX_TRIES = 30  # damping tries of one iteration
 _SQRT_EPS = 2.0**-26  # the square root of the float64 machine epsilon
 
@@ -193,9 +194,10 @@ class FitResult:
     """A least-squares fit and how its winning Levenberg-Marquardt run ended.
 
     `converged` is whether that run met the stop test rather than the
-    iteration cap, `restarts` the number of starts run (over both families
-    of the EMG), `iterations` the winning run's iterations, and `at_bound`
-    the names of the parameters that end on a bound of their box.
+    iteration cap, `restarts` the number of starts run (3 for the edge-level
+    model; 4 for the EMG, 3 with sigma > 0 and the moment start of its
+    sigma=0 family), `iterations` the winning run's iterations, and
+    `at_bound` the names of the parameters that end on a bound of their box.
     """
 
     model: str
@@ -246,25 +248,31 @@ def _levenberg_marquardt(
     """Bounded Levenberg-Marquardt from one start: (point, SSE, converged, iterations).
 
     `residuals` maps (k, d) parameter rows to their (k, n) residuals. Each
-    iteration scores the point and its d forward-difference rows in one call,
-    stepping backward where the forward step would pass the upper bound. A
-    coordinate on a bound whose gradient points outward is held for the step,
-    as is a `sticky` coordinate on its lower bound; the others solve the
-    damped normal equations, and the trial is clipped into the box. Only a
-    strictly lower SSE is accepted (never NaN). The run has converged when
-    the SSE drops by less than 1e-15 relative, the step is below 1e-12
-    relative or 30 damping tries fail; it stops unconverged after 300
+    point, the start and every damping try, is scored in one call together
+    with its d forward-difference rows, stepping backward where the forward
+    step would pass the upper bound, so an accepted try brings its own
+    Jacobian. A coordinate on a bound whose gradient points outward is held
+    for the step, as is a `sticky` coordinate on its lower bound; the others
+    solve the damped normal equations, and the trial is clipped into the box.
+    Only a strictly lower SSE is accepted (never NaN). The run has converged
+    when the SSE drops by less than 1e-15 relative, the step is below 1e-12
+    relative or 30 damping tries fail; it stops unconverged after 150
     iterations.
     """
-    p, damping, sse = start, 1e-3, math.nan
-    for iteration in range(1, _MAX_ITERATIONS + 1):
+
+    def scored(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         h = _SQRT_EPS * np.maximum(np.abs(p), 1.0)
         h = np.where(p + h > high, -h, h)
         rows = residuals(p + np.diag(h, -1)[:, :-1])  # the point, then p + h_j e_j
+        return rows, h, float(rows[0] @ rows[0])
+
+    p, damping, sse = start, 1e-3, math.nan
+    for iteration in range(1, _MAX_ITERATIONS + 1):
+        if iteration == 1:
+            rows, h, sse = scored(p)
+            if not math.isfinite(sse):
+                return p, sse, False, iteration
         r = rows[0]
-        sse = float(r @ r)
-        if not math.isfinite(sse):
-            return p, sse, False, iteration
         jac = (rows[1:] - r) / h[:, None]  # row j: the derivatives by coordinate j
         jac[~np.isfinite(jac).all(axis=1)] = 0.0  # such a coordinate is held
         grad = jac @ r
@@ -281,15 +289,14 @@ def _levenberg_marquardt(
             moved = trial - p
             if moved @ moved <= 1e-24 * (p @ p):
                 return p, sse, True, iteration
-            r = residuals(trial[None, :])[0]
-            trial_sse = float(r @ r)
+            trial_rows, trial_h, trial_sse = scored(trial)
             if trial_sse < sse:
                 break
             damping *= 4.0
         else:
             return p, sse, True, iteration
         damping /= 3.0
-        p, sse, drop = trial, trial_sse, sse - trial_sse
+        p, rows, h, sse, drop = trial, trial_rows, trial_h, trial_sse, sse - trial_sse
         if drop <= 1e-15 * (sse + drop):
             return p, sse, True, iteration
     return p, sse, False, _MAX_ITERATIONS
@@ -412,7 +419,9 @@ def fit(model: str, series: DistributionSeries, log_base: float = 10.0) -> FitRe
 
             # degenerate sigma=0 family, probed on its own, or exponential-shaped
             # series cannot be fitted exactly; its value at a support point drops
-            # to 0 as mu passes it, so mu stays on its lower bound once there
+            # to 0 as mu passes it, so mu stays on its lower bound once there.
+            # It runs from the moment start alone: a Halton start puts mu inside
+            # the support, where this model is 0 below mu
             def residuals_exp(p: np.ndarray) -> np.ndarray:
                 return _emg_exponential(x, p[:, 0:1], p[:, 1:2]) - observed
 
@@ -420,7 +429,7 @@ def fit(model: str, series: DistributionSeries, log_base: float = 10.0) -> FitRe
             plane = _best_halton(lambda p: (residuals(p) ** 2).sum(axis=1), low, high, 2)
             starts = np.vstack([moments, plane])
             values, sse, converged, iterations = full = _best_run(residuals, starts, low, high)
-            pinned = _best_run(residuals_exp, starts[:, :2], low[:2], high[:2], sticky=(1,))
+            pinned = _best_run(residuals_exp, starts[:1, :2], low[:2], high[:2], sticky=(1,))
             if _beats(pinned, full):
                 (lam, mu), sse, converged, iterations = pinned
                 values = np.array([lam, mu, 0.0])
@@ -436,7 +445,7 @@ def fit(model: str, series: DistributionSeries, log_base: float = 10.0) -> FitRe
         support_min=float(x.min()),
         support_max=float(x.max()),
         converged=converged,
-        restarts=len(starts) * (1 if model == S_COMPLEX else 2),
+        restarts=len(starts) + (0 if model == S_COMPLEX else 1),
         iterations=iterations,
         at_bound=[name for name, v, lo, hi in zip(params, values, low, high) if not lo < v < hi],
     )

@@ -66,7 +66,7 @@ def test_sse_no_worse_than_nelder_mead(corpus, case):
     result = fit(MODELS[kind], series)
     assert result.sse <= head_sse * (1 + 1e-9)
     assert result.converged
-    assert result.restarts == (3 if kind == "s" else 6)
+    assert result.restarts == (3 if kind == "s" else 4)
     assert 0 < result.iterations < models._MAX_ITERATIONS
 
 

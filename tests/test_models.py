@@ -402,12 +402,32 @@ class TestLevenbergMarquardt:
         assert sse < 1e-20
         assert point == pytest.approx([1.0, 1.0], abs=1e-9)
 
+    def test_each_try_costs_one_call(self, monkeypatch):
+        # one call scores the start, and one each damping try with its difference
+        # rows, so no point is scored twice; each try solves the damped system
+        # once, and this run ends on a solve whose step is too small to score
+        solves, scored = [], []
+        solve = np.linalg.solve
+
+        def counted_solve(*args):
+            solves.append(args)
+            return solve(*args)
+
+        def residuals(p):
+            scored.append(p[0].tobytes())
+            return _rosenbrock(p)
+
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        _, _, converged, _ = models._levenberg_marquardt(residuals, *ROSENBROCK_START_AND_BOX)
+        assert converged
+        tries = len(solves) - 1
+        assert len(scored) == 1 + tries
+        assert len(set(scored)) == len(scored)
+
     def test_a_capped_run_loses_to_a_converged_one(self, monkeypatch):
         # on these counts the run from the moment start slides toward sigma -> 0
         # with mu/sigma fixed, an SSE infimum no point attains, until the cap
-        support = np.array(list(CORNER_COUNTS), dtype=float)
-        counts = np.array(list(CORNER_COUNTS.values()), dtype=np.int64)
-        series = DistributionSeries(support=support, counts=counts, freq=counts / counts.sum())
+        series = _counts_series(CORNER_COUNTS)
         runs = []
         original = models._levenberg_marquardt
 
@@ -421,6 +441,17 @@ class TestLevenbergMarquardt:
         assert not moment_run[2] and moment_run[1] < result.sse
         assert result.converged and result.params["sigma"] > 0.5
 
+    def test_the_cap_leaves_room_for_slow_winners(self, monkeypatch):
+        # the winning run on these counts converges at iteration 138; a cap of
+        # 100 cuts it, and the sigma=0 family wins at 30 times its SSE
+        series = _counts_series(SLOW_WINNER_COUNTS)
+        result = fit("emg", series)
+        assert (result.converged, result.iterations) == (True, 138)
+        assert result.sse == 0.0031349578036726352
+        monkeypatch.setattr(models, "_MAX_ITERATIONS", 100)
+        cut = fit("emg", series)
+        assert cut.sse > 30 * result.sse
+
 
 def _rosenbrock(p):
     return np.hstack([1.0 - p[:, :1], 10.0 * (p[:, 1:] - p[:, :1] ** 2)])
@@ -430,6 +461,15 @@ ROSENBROCK_START_AND_BOX = np.array([-1.2, 1.0]), np.array([-2.0, -1.0]), np.arr
 
 # a grown replica's triangle-level counts (n=1866, m=2)
 CORNER_COUNTS = {0: 212, 1: 194, 2: 88, 3: 36, 4: 13, 5: 7, 6: 2, 7: 2, 9: 1, 11: 2}
+# contrived counts whose winning EMG run is the slowest measured to converge
+SLOW_WINNER_COUNTS = {0: 100, 1: 10, 2: 1, 1000: 1}
+
+
+def _counts_series(counts):
+    """The frequency series of {support point: count}."""
+    support = np.array(list(counts), dtype=float)
+    values = np.array(list(counts.values()), dtype=np.int64)
+    return DistributionSeries(support=support, counts=values, freq=values / values.sum())
 
 
 def _bowl(p):
@@ -502,13 +542,22 @@ ORACLE_CASES = [
 
 
 def _run(residuals, start, low, high, cap=None, sticky=()):
-    """One Levenberg-Marquardt run, cut after `cap` iterations if given, and the iterates it scored."""
-    iterates = []
+    """One Levenberg-Marquardt run, cut after `cap` iterations if given, and the iterates it scored.
+
+    Every call scores a point in its first row: the start, then one damping
+    try each. The iterates are the start and each try whose SSE is strictly
+    below the last iterate's, the solver's own acceptance rule.
+    """
+    iterates, last = [], math.nan
 
     def scored(p):
-        if len(p) == len(start) + 1:  # the point and its difference rows
+        nonlocal last
+        rows = residuals(p)
+        sse = float(rows[0] @ rows[0])
+        if not iterates or sse < last:
             iterates.append(p[0].copy())
-        return residuals(p)
+            last = sse
+        return rows
 
     with pytest.MonkeyPatch.context() as patch:
         if cap is not None:
@@ -616,8 +665,9 @@ class TestRealObjectiveOracle:
     @pytest.mark.parametrize("family", ["s_complex", "emg", "emg-sigma0"])
     def test_each_start_matches_scipy(self, fixture_objectives, family):
         residuals, starts, low, high, sticky = fixture_objectives[family]
-        # the sigma=0 family searches (lam, mu), its mu held on its lower bound once there
-        assert starts.shape == (3, 2 if family == "emg-sigma0" else 3)
+        # the sigma=0 family searches (lam, mu) from the moment start alone, its
+        # mu held on its lower bound once there
+        assert starts.shape == ((1, 2) if family == "emg-sigma0" else (3, 3))
         assert sticky == ((1,) if family == "emg-sigma0" else ())
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for start in starts:

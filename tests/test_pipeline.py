@@ -83,7 +83,7 @@ class TestReportContents:
             assert persisted == section["real"]
             for fit_record in [section["real"], *section["replicas"]]:
                 assert fit_record["converged"] and fit_record["iterations"] > 0
-                assert fit_record["restarts"] == (3 if kind == "s" else 6)
+                assert fit_record["restarts"] == (3 if kind == "s" else 4)
                 assert set(fit_record["at_bound"]) <= set(PARAM_NAMES[model])
 
     def test_significance_flags_consistent(self, experiment_run):
